@@ -45,7 +45,6 @@ from .grids import (
     generate_grid,
     get_grid,
     grid_embed,
-    grid_graph,
     minimize_uncolourable,
     enumerate_grid_subsystems,
     normalize_direction,
@@ -55,7 +54,7 @@ from .constraints import (
     ConstraintSystem,
     NoEdgesError,
     build_constraint_system,
-    contract,
+    contract_explain,
 )
 from .intervals import Interval, IntervalBox, WidthUnderflow, bisect
 from .embedding import (
@@ -66,6 +65,7 @@ from .embedding import (
     prove_root_in_box,
 )
 from .polynomial import EmbeddingPolynomial, export_polynomial
-from .pipeline import JobSpec, evaluate_graph, report_counts, run_search, verify_known
+from .pipeline import JobSpec, evaluate_graph, report_counts, run_search
+from .verify import verify_known
 
 __version__ = "0.1.0"

@@ -80,12 +80,6 @@ class CatalogRecord:
         )
 
 
-def append_records(path: str, records) -> None:
-    with open(path, "a") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
-
-
 def read_records(path: str) -> list[CatalogRecord]:
     out = []
     with open(path) as fh:

@@ -14,6 +14,7 @@ from .graphs import (
     Graph6Error,
     graph6_decode,
     graph6_encode,
+    random_graphs,
     to_adjacency_json,
 )
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
@@ -30,12 +31,11 @@ from .polynomial import export_polynomial
 from .pipeline import (
     DEFAULT_GRID_LADDER,
     JobSpec,
-    KNOWN_BUNDLES,
     read_records,
     report_counts,
     run_search,
-    verify_known,
 )
+from .verify import KNOWN_BUNDLES, verify_known
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--in", dest="input", default="-")
     pi.add_argument("--budget", type=int, default=100_000)
     pi.add_argument("--delta", type=float, default=1e-4)
-    pi.add_argument("--resume", default=None, help="checkpoint JSON to resume from")
+    pi.add_argument("--resume", default=None,
+                    help="checkpoint JSON of the same graph and --delta to resume from")
     pi.add_argument("--checkpoint-out", default=None,
                     help="write a resumable checkpoint when inconclusive")
     pi.add_argument("--out", default="-")
@@ -200,11 +201,20 @@ def _dispatch(args) -> int:
 
     if cmd == "embed-interval":
         out = _out_stream(args)
-        resume_boxes = None
+        resume_g6 = resume_boxes = None
         if args.resume:
-            _g6, _delta, resume_boxes = checkpoint_from_json(open(args.resume).read())
+            with open(args.resume) as fh:
+                resume_g6, resume_delta, resume_boxes = checkpoint_from_json(fh.read())
+            if resume_delta != args.delta:
+                raise ValueError(
+                    f"checkpoint was made at delta {resume_delta}, not --delta {args.delta}"
+                )
         exit_code = EXIT_OK
         for g in _input_graphs(args):
+            if resume_g6 is not None and graph6_encode(g) != resume_g6:
+                raise ValueError(
+                    f"checkpoint belongs to graph {resume_g6}, not {graph6_encode(g)}"
+                )
             verdict = decide_embeddability(
                 g, budget=args.budget, delta=args.delta, resume_boxes=resume_boxes
             )
@@ -254,8 +264,6 @@ def _dispatch(args) -> int:
         return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
     if cmd == "random-graphs":
-        from .pipeline import random_graphs
-
         filters = _parse_filters(args.filters) if args.filters else Filters(False, False)
         out = _out_stream(args)
         for g in random_graphs(

@@ -229,9 +229,6 @@ class FilterResult:
     reason: str | None = None
 
 
-FILTER_ORDER = ("square", "3-colourable", "not-4-colourable", "min-degree", "no-triangle")
-
-
 def candidate_filter(g: Graph) -> FilterResult:
     """Cheap necessary conditions for a minimal KS candidate, in order:
     square-free, not 3-colourable, 4-colourable, minimum degree 3, every

@@ -22,6 +22,7 @@ from .graphs import Graph, triangles
 from .intervals import (
     Interval,
     IntervalBox,
+    ONE,
     QInterval,
     ZERO,
     isqrt_nonneg,
@@ -143,20 +144,6 @@ def build_constraint_system(g: Graph, delta: float = DEFAULT_DELTA) -> Constrain
     )
 
 
-# ---------------------------------------------------------------------------
-# Interval evaluation helpers
-
-def _dot_interval(box: IntervalBox, s: int, t: int) -> Interval:
-    total = ZERO
-    for c in range(3):
-        total = total + box[3 * s + c] * box[3 * t + c]
-    return total
-
-
-def _norm_interval(box: IntervalBox, s: int) -> Interval:
-    return box[3 * s].sqr() + box[3 * s + 1].sqr() + box[3 * s + 2].sqr()
-
-
 @dataclass(frozen=True)
 class Refutation:
     """Which constraint excluded its target, and over which box state.
@@ -177,21 +164,14 @@ class EmptyBox(Exception):
         super().__init__(f"{refutation.kind} {refutation.detail}")
 
 
-def contract(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox | None:
-    """One hull-consistency sweep; None means the box holds no solution.
+def contract_explain(box: IntervalBox, cs: ConstraintSystem):
+    """One hull-consistency sweep: (box, None), or (None, refutation) when
+    the box holds no solution.
 
     Every equation is solved for each of its variable occurrences with
     interval arithmetic and the result intersected with the current domain;
     the surviving box contains every solution of the delta-system in ``box``.
     """
-    try:
-        return _sweep(box, cs)
-    except EmptyBox:
-        return None
-
-
-def contract_explain(box: IntervalBox, cs: ConstraintSystem):
-    """Like :func:`contract` but returns (box, None) or (None, refutation)."""
     try:
         return _sweep(box, cs), None
     except EmptyBox as e:
@@ -212,6 +192,10 @@ def _abs_band(domain: Interval, sq_range: Interval) -> Interval | None:
     return best
 
 
+# the two other coordinates of each coordinate, ascending
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
 def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
     ivs = list(box.ivs)
 
@@ -223,6 +207,24 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
             fail(kind, detail)
         ivs[i] = iv
 
+    def narrow_pairs(pairs, band: Interval | None, kind: str) -> None:
+        """Narrow u.v into ``band`` (u.v = 0 when None) for each slot pair,
+        solving each product u_c v_c against the other two."""
+        for s, t in pairs:
+            prods = [ivs[3 * s + c] * ivs[3 * t + c] for c in range(3)]
+            full = ZERO + prods[0] + prods[1] + prods[2]
+            if (not full.contains_zero()) if band is None else (full.intersect(band) is None):
+                fail(kind, (s, t))
+            for c in range(3):
+                i, j = 3 * s + c, 3 * t + c
+                a, b = _OTHERS[c]
+                rest = ZERO + prods[a] + prods[b]
+                # negation is exact; ZERO - rest would round one ulp outward
+                target = -rest if band is None else band - rest
+                setiv(i, narrow_by_div(ivs[i], target, ivs[j]), kind, (s, t))
+                setiv(j, narrow_by_div(ivs[j], target, ivs[i]), kind, (s, t))
+                prods[c] = ivs[i] * ivs[j]
+
     # coordinate-zero equations (edges into pinned axes)
     for s, c in cs.coord_zero:
         i = 3 * s + c
@@ -231,47 +233,19 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
         ivs[i] = ZERO
 
     # unit norms
-    one = Interval(1.0, 1.0)
     for s in cs.norm_slots:
         base = 3 * s
         sq = [ivs[base + c].sqr() for c in range(3)]
         total = sq[0] + sq[1] + sq[2]
-        if not (total - one).contains_zero():
+        if not (total - ONE).contains_zero():
             fail("norm", (s,))
         for c in range(3):
-            rest = one - sq[(c + 1) % 3] - sq[(c + 2) % 3]
+            rest = ONE - sq[(c + 1) % 3] - sq[(c + 2) % 3]
             setiv(base + c, _abs_band(ivs[base + c], rest), "norm", (s,))
             sq[c] = ivs[base + c].sqr()
 
     # dot products on edges between free vertices
-    for s, t in cs.dot_pairs:
-        full = ZERO
-        prods = []
-        for c in range(3):
-            p = ivs[3 * s + c] * ivs[3 * t + c]
-            prods.append(p)
-            full = full + p
-        if not full.contains_zero():
-            fail("edge-dot", (s, t))
-        for c in range(3):
-            rest = ZERO
-            for c2 in range(3):
-                if c2 != c:
-                    rest = rest + prods[c2]
-            target = -rest
-            setiv(
-                3 * s + c,
-                narrow_by_div(ivs[3 * s + c], target, ivs[3 * t + c]),
-                "edge-dot",
-                (s, t),
-            )
-            setiv(
-                3 * t + c,
-                narrow_by_div(ivs[3 * t + c], target, ivs[3 * s + c]),
-                "edge-dot",
-                (s, t),
-            )
-            prods[c] = ivs[3 * s + c] * ivs[3 * t + c]
+    narrow_pairs(cs.dot_pairs, None, "edge-dot")
 
     # separation inequalities
     bound = cs.sep_bound
@@ -279,34 +253,7 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
     for s, c in cs.sep_coords:
         i = 3 * s + c
         setiv(i, ivs[i].intersect(band), "separation-axis", (s, c))
-    for s, t in cs.sep_pairs:
-        full = ZERO
-        prods = []
-        for c in range(3):
-            p = ivs[3 * s + c] * ivs[3 * t + c]
-            prods.append(p)
-            full = full + p
-        if full.intersect(band) is None:
-            fail("separation", (s, t))
-        for c in range(3):
-            rest = ZERO
-            for c2 in range(3):
-                if c2 != c:
-                    rest = rest + prods[c2]
-            target = band - rest
-            setiv(
-                3 * s + c,
-                narrow_by_div(ivs[3 * s + c], target, ivs[3 * t + c]),
-                "separation",
-                (s, t),
-            )
-            setiv(
-                3 * t + c,
-                narrow_by_div(ivs[3 * t + c], target, ivs[3 * s + c]),
-                "separation",
-                (s, t),
-            )
-            prods[c] = ivs[3 * s + c] * ivs[3 * t + c]
+    narrow_pairs(cs.sep_pairs, band, "separation")
 
     return IntervalBox(tuple(ivs))
 

@@ -12,6 +12,7 @@ orthogonality graphs, so its own cap is looser.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 
 MAX_VERTICES = 4096
@@ -334,10 +335,6 @@ def graph6_decode(text: str) -> Graph:
     return graph_from_code(n, code[:nbits])
 
 
-def read_graph6_lines(text: str) -> list[Graph]:
-    return [graph6_decode(line) for line in text.splitlines() if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # JSON adjacency export (human inspection)
 
@@ -350,3 +347,35 @@ def from_adjacency_json(text: str) -> Graph:
     if data["n"] != len(data["adj"]):
         raise ValueError("adjacency list length does not match n")
     return Graph.from_adjacency(data["adj"])
+
+
+# ---------------------------------------------------------------------------
+# Seeded random graphs
+
+def random_graphs(
+    n: int,
+    count: int,
+    seed: int,
+    densities: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
+    require_square_free: bool = False,
+    require_connected: bool = False,
+):
+    """Seeded random graphs, edges uniform at a fixed density ladder.
+
+    The distribution is this artifact's own choice (it does not claim to
+    replicate any published campaign); filters resample until satisfied.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        p = densities[made % len(densities)]
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        ]
+        g = Graph.from_edges(n, edges)
+        if require_square_free and not is_square_free(g):
+            continue
+        if require_connected and not is_connected(g):
+            continue
+        made += 1
+        yield g

@@ -46,10 +46,7 @@ class GridSystem:
 
     N: int
     directions: tuple[Vec, ...]
-    graph: Graph = field(repr=False)
-
-    def index_of(self, v: Vec) -> int:
-        return self.directions.index(normalize_direction(v))
+    graph: Graph = field(repr=False)  # vertex i is directions[i]; edge iff dot product 0
 
     def to_json(self) -> str:
         return json.dumps({"N": self.N, "directions": [list(d) for d in self.directions]})
@@ -83,11 +80,6 @@ def generate_grid(n: int) -> GridSystem:
 def get_grid(n: int) -> GridSystem:
     """Memoized :func:`generate_grid`; grid systems are immutable and shared."""
     return generate_grid(n)
-
-
-def grid_graph(sys: GridSystem) -> Graph:
-    """Orthogonality graph: vertex i is directions[i], edge iff dot product 0."""
-    return sys.graph
 
 
 # ---------------------------------------------------------------------------
@@ -371,45 +363,27 @@ def enumerate_grid_subsystems(
     sys: GridSystem,
     size_bound: int,
     budget: int = 100,
-    mode: str = "auto",
+    mode: str = "sample",
     seeds: range | None = None,
 ):
     """Stream non-101-colourable induced subsystems of size <= size_bound.
 
-    ``exhaustive`` walks all subsets (only sensible for tiny grids);
-    ``sample`` runs seeded greedy minimizations from the full grid.  Each
+    Runs seeded greedy minimizations from the full grid (``mode`` accepts
+    only ``"sample"``; seed None keeps the identity scan order).  Each
     emitted subsystem is re-validated uncolourable and deduplicated by
     canonical label; a :class:`TruncationMarker` ends the stream when the
     budget runs out first.
     """
     from .orderly import canonical_code
 
-    nd = len(sys.directions)
-    if mode == "auto":
-        mode = "exhaustive" if nd <= 16 else "sample"
+    if mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
     if solve_101(sys.graph) is not None:
         # every induced subsystem inherits the colouring
         return
+    nd = len(sys.directions)
     seen: set[str] = set()
     spent = 0
-    if mode == "exhaustive":
-        import itertools
-
-        for size in range(1, min(size_bound, nd) + 1):
-            for combo in itertools.combinations(range(nd), size):
-                if spent >= budget:
-                    yield TruncationMarker(f"budget {budget} exhausted")
-                    return
-                spent += 1
-                if solve_101(sys.graph.induced(combo)) is None:
-                    sub = subsystem(sys, combo)
-                    key = canonical_code(sub.graph)
-                    if key not in seen:
-                        seen.add(key)
-                        yield sub
-        return
-    if mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
     if seeds is None:
         seeds = range(budget)
     for seed in seeds:

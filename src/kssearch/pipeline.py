@@ -78,7 +78,7 @@ def evaluate_graph(
 ) -> CatalogRecord:
     """All catalog flags for one graph; embedding stages run only for
     101-uncolourable survivors (the KS candidates)."""
-    three, w3 = is_k_colourable(g, 3)
+    three, _ = is_k_colourable(g, 3)
     four, _ = is_k_colourable(g, 4)
     if three:
         colourable = True
@@ -241,180 +241,6 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
     return summary
-
-
-def random_graphs(
-    n: int,
-    count: int,
-    seed: int,
-    densities: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
-    require_square_free: bool = False,
-    require_connected: bool = False,
-):
-    """Seeded random graphs, edges uniform at a fixed density ladder.
-
-    The distribution is this artifact's own choice (it does not claim to
-    replicate any published campaign); filters resample until satisfied.
-    """
-    import random as _random
-
-    rng = _random.Random(seed)
-    made = 0
-    while made < count:
-        p = densities[made % len(densities)]
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
-        g = Graph.from_edges(n, edges)
-        if require_square_free and not is_square_free(g):
-            continue
-        if require_connected and not is_connected(g):
-            continue
-        made += 1
-        yield g
-
-
-# ---------------------------------------------------------------------------
-# Named verification bundles
-
-KNOWN_BUNDLES = (
-    "grid-counts",
-    "odd-grid-colourability",
-    "n2-critical-31",
-    "counts-vs-oracle",
-    "prop5-prefixes",
-)
-
-
-def verify_known(name: str, out_dir: str | None = None) -> dict:
-    """Run one acceptance bundle; returns {name, passed, details}."""
-    if name == "grid-counts":
-        return _verify_grid_counts()
-    if name == "odd-grid-colourability":
-        return _verify_odd_grids(out_dir)
-    if name == "n2-critical-31":
-        return _verify_n2_critical()
-    if name == "counts-vs-oracle":
-        return _verify_counts_vs_oracle()
-    if name == "prop5-prefixes":
-        return _verify_prefix_properties()
-    raise ValueError(f"unknown bundle {name!r}; choose from {KNOWN_BUNDLES}")
-
-
-def _verify_grid_counts() -> dict:
-    from .grids import direction_count, generate_grid
-
-    details = {}
-    passed = True
-    for n in range(1, 13):
-        got = len(generate_grid(n).directions)
-        want = direction_count(n)
-        details[f"N={n}"] = {"directions": got, "formula": want}
-        passed &= got == want
-    for n, want in ((1, 13), (2, 49), (4, 193)):
-        passed &= details[f"N={n}"]["directions"] == want
-    return {"name": "grid-counts", "passed": passed, "details": details}
-
-
-def _verify_odd_grids(out_dir: str | None) -> dict:
-    details = {}
-    passed = True
-    for n in (1, 3, 5, 7, 9, 11, 13):
-        sys_ = get_grid(n)
-        witness = solve_101(sys_.graph)
-        ok = witness is not None and validate_101(sys_.graph, witness)
-        details[f"N={n}"] = {"colourable": witness is not None, "witness_valid": ok}
-        passed &= ok
-        if ok and out_dir:
-            path = os.path.join(out_dir, f"odd_grid_{n}_witness.json")
-            with open(path, "w") as fh:
-                json.dump({str(i): v for i, v in enumerate(witness)}, fh)
-    w15 = solve_101(get_grid(15).graph)
-    details["N=15"] = {"colourable": w15 is not None}
-    passed &= w15 is None
-    return {"name": "odd-grid-colourability", "passed": passed, "details": details}
-
-
-def _verify_n2_critical(scan_orders: int = 5) -> dict:
-    import random as _random
-
-    from .grids import minimize_uncolourable, _sym_images
-    from .orderly import canonical_code
-
-    sys2 = get_grid(2)
-    nd = len(sys2.directions)
-    uncolourable = solve_101(sys2.graph) is None
-    orders = [list(range(nd)), list(range(nd))[::-1]]
-    # two symmetry images of the identity scan (guaranteed to mirror its path)
-    for pick in (7, 23):
-        image = [_sym_images(d)[pick] for d in sys2.directions]
-        orders.append([sys2.directions.index(v) for v in image])
-    mid = sorted(range(nd), key=lambda v: (abs(v - nd // 2), v))
-    orders.append(mid)
-
-    sizes = []
-    labels = set()
-    sub31 = None
-    for order in orders[:scan_orders]:
-        sub = minimize_uncolourable(sys2, order)
-        sizes.append(len(sub.indices))
-        if len(sub.indices) == 31:
-            labels.add(canonical_code(sub.graph))
-            sub31 = sub
-    details = {
-        "grid_uncolourable": uncolourable,
-        "critical_sizes": sizes,
-        "distinct_31_labels": len(labels),
-    }
-    passed = uncolourable and all(s >= 31 for s in sizes) and len(labels) == 1
-    embed_seconds = None
-    if sub31 is not None:
-        import time as _time
-
-        t0 = _time.perf_counter()
-        emb = grid_embed(sub31.graph, 2, sys=sys2)
-        embed_seconds = _time.perf_counter() - t0
-        passed = passed and emb is not None and validate_grid_embedding(sub31.graph, emb)
-        details["embed_n2_seconds"] = embed_seconds
-        passed = passed and embed_seconds < 1.0
-    else:
-        passed = False
-    return {"name": "n2-critical-31", "passed": passed, "details": details}
-
-
-def _verify_counts_vs_oracle(n_max: int = 7) -> dict:
-    from .graphs import encode_upper_triangle
-    from .orderly import brute_force_classes
-
-    details = {}
-    passed = True
-    for n in range(1, n_max + 1):
-        oracle = {encode_upper_triangle(g) for g in brute_force_classes(n)}
-        enum = {encode_upper_triangle(g) for g in enumerate_graphs(n)}
-        details[f"n={n}"] = {"oracle": len(oracle), "enumerated": len(enum)}
-        passed &= oracle == enum
-    return {"name": "counts-vs-oracle", "passed": passed, "details": details}
-
-
-def _verify_prefix_properties(n_max: int = 8) -> dict:
-    from .orderly import is_canonical
-
-    passed = True
-    checked = 0
-    for n in range(2, n_max + 1):
-        for g in enumerate_graphs(n):
-            for k in range(1, g.n + 1):
-                prefix = Graph(k, tuple(r & ((1 << k) - 1) for r in g.rows[:k]))
-                if not is_canonical(prefix):
-                    passed = False
-                if k >= 1 and not is_connected(prefix):
-                    passed = False
-                checked += 1
-    return {
-        "name": "prop5-prefixes",
-        "passed": passed,
-        "details": {"prefixes_checked": checked, "n_max": n_max},
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,19 @@ Desk-scale prefixes of the full results; the extended non-gating jobs
 (n = 13..17 frontier, n = 10 unembeddable sweep) live in scripts/.
 """
 
-import json
+import math
 import random
 import time
 
 import pytest
 
-from kssearch.graphs import Graph, encode_upper_triangle, is_connected
-from kssearch.orderly import (
-    brute_force_classes,
-    canonical_code,
-    enumerate_graphs,
-    is_canonical,
-)
-from kssearch.colouring import is_k_colourable, solve_101, validate_101
+from kssearch.graphs import Graph, encode_upper_triangle
+from kssearch.orderly import enumerate_graphs
+from kssearch.colouring import is_k_colourable, solve_101
 from kssearch.grids import (
-    direction_count,
     get_grid,
     grid_embed,
     minimize_uncolourable,
-    normalize_direction,
     validate_grid_embedding,
 )
 from kssearch.embedding import (
@@ -33,6 +26,7 @@ from kssearch.embedding import (
     verdict_to_json,
 )
 from kssearch.pipeline import run_search, JobSpec
+from kssearch.verify import verify_known
 
 
 def report(num, name, passed, detail=""):
@@ -52,17 +46,12 @@ def small_graphs():
     return {n: list(enumerate_graphs(n)) for n in range(1, 8)}
 
 
-def test_criterion_01_enumeration_oracle_equivalence(small_graphs):
+def test_criterion_01_enumeration_oracle_equivalence():
     t0 = time.perf_counter()
-    ok = True
-    counts = {}
-    for n in range(1, 8):
-        oracle = {encode_upper_triangle(g) for g in brute_force_classes(n)}
-        enum = {encode_upper_triangle(g) for g in small_graphs[n]}
-        counts[n] = (len(oracle), len(enum))
-        ok &= oracle == enum
+    rep = verify_known("counts-vs-oracle")
     elapsed = time.perf_counter() - t0
-    ok &= elapsed < 60.0
+    counts = {k: (v["oracle"], v["enumerated"]) for k, v in rep["details"].items()}
+    ok = rep["passed"] and elapsed < 60.0
     report(1, "enumeration-oracle equivalence n=1..7", ok, f"counts={counts} {elapsed:.1f}s")
 
 
@@ -94,77 +83,29 @@ def test_criterion_02_colourability_frontier():
 
 
 def test_criterion_03_grid_counting():
-    ok = True
-    for n in range(1, 13):
-        ok &= len(get_grid(n).directions) == direction_count(n)
-    for n in range(1, 5):
-        pts = set()
-        for x in range(-n, n + 1):
-            for y in range(-n, n + 1):
-                for z in range(-n, n + 1):
-                    if max(abs(x), abs(y), abs(z)) == n:
-                        pts.add(normalize_direction((x, y, z)))
-        ok &= len(pts) == direction_count(n)
-    ok &= direction_count(1) == 13 and direction_count(2) == 49 and direction_count(4) == 193
-    report(3, "grid direction counts (formula N<=12, brute N<=4)", ok)
+    rep = verify_known("grid-counts")
+    report(3, "grid direction counts (formula N<=12, brute N<=4)", rep["passed"])
 
 
 def test_criterion_04_odd_grid_threshold(tmp_path):
     t0 = time.perf_counter()
-    ok = True
-    details = []
-    for n in (1, 3, 5, 7, 9, 11, 13):
-        g = get_grid(n).graph
-        w = solve_101(g)
-        valid = w is not None and validate_101(g, w)
-        ok &= valid
-        details.append(f"N={n}:colourable")
-        if valid:
-            path = tmp_path / f"odd_grid_{n}_witness.json"
-            path.write_text(json.dumps({str(i): v for i, v in enumerate(w)}))
-    w15 = solve_101(get_grid(15).graph)
-    ok &= w15 is None
-    details.append("N=15:uncolourable")
+    rep = verify_known("odd-grid-colourability", str(tmp_path))
     elapsed = time.perf_counter() - t0
-    ok &= elapsed < 1800.0
+    ok = rep["passed"] and elapsed < 1800.0
     report(4, "odd grids N=1..13 colourable, N=15 not", ok, f"{elapsed:.0f}s")
 
 
-def test_criterion_05_n2_critical_subsystem(ck31):
-    from kssearch.grids import _sym_images
-
+def test_criterion_05_n2_critical_subsystem():
     t0 = time.perf_counter()
-    sys2 = get_grid(2)
-    ok = solve_101(sys2.graph) is None
-    nd = len(sys2.directions)
-    orders = [list(range(nd)), list(range(nd))[::-1]]
-    for pick in (8, 16):
-        image = [_sym_images(d)[pick] for d in sys2.directions]
-        orders.append([sys2.directions.index(v) for v in image])
-    orders.append(sorted(range(nd), key=lambda v: (abs(v - nd // 2), v)))
-
-    sizes = []
-    labels = set()
-    sub31 = None
-    for order in orders:
-        sub = minimize_uncolourable(sys2, order)
-        sizes.append(len(sub.indices))
-        if len(sub.indices) == 31:
-            labels.add(canonical_code(sub.graph))
-            sub31 = sub
-    ok &= all(s >= 31 for s in sizes)
-    ok &= sub31 is not None and len(labels) == 1
-
-    t1 = time.perf_counter()
-    emb = grid_embed(sub31.graph, 2, sys=sys2)
-    embed_s = time.perf_counter() - t1
-    ok &= emb is not None and validate_grid_embedding(sub31.graph, emb)
-    ok &= embed_s < 1.0
+    rep = verify_known("n2-critical-31")
+    d = rep["details"]
+    embed_ms = d.get("embed_n2_seconds", math.nan) * 1e3
     report(
         5,
         "N=2 grid uncolourable; 5 scan orders critical >=31; one 31-label; re-embeds",
-        ok,
-        f"sizes={sizes} labels={len(labels)} embed={embed_s*1e3:.0f}ms total={time.perf_counter()-t0:.0f}s",
+        rep["passed"],
+        f"sizes={d['critical_sizes']} labels={d['distinct_31_labels']} "
+        f"embed={embed_ms:.0f}ms total={time.perf_counter()-t0:.0f}s",
     )
 
 
@@ -236,18 +177,11 @@ def test_criterion_08_small_graph_embeddability(small_graphs):
     )
 
 
-def test_criterion_09_property_suites(small_graphs):
-    ok = True
+def test_criterion_09_property_suites():
     # canonicity prefix-closedness and connected-prefix pruning, n <= 8
-    checked = 0
-    for n in range(2, 9):
-        graphs = small_graphs.get(n) or enumerate_graphs(n)
-        for g in graphs:
-            for k in range(1, g.n + 1):
-                prefix = Graph(k, tuple(r & ((1 << k) - 1) for r in g.rows[:k]))
-                if not (is_canonical(prefix) and is_connected(prefix)):
-                    ok = False
-                checked += 1
+    prefixes = verify_known("prop5-prefixes")
+    ok = prefixes["passed"]
+    checked = prefixes["details"]["prefixes_checked"]
     # 3-colourable => 101-colourable on 10^4 random graphs
     rng = random.Random(2026)
     implication_checked = 0

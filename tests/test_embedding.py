@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from kssearch.graphs import Graph
 from kssearch.constraints import (
@@ -11,7 +13,6 @@ from kssearch.constraints import (
     NoEdgesError,
     Refutation,
     build_constraint_system,
-    contract,
     contract_explain,
     recheck_refutation_exact,
 )
@@ -65,7 +66,8 @@ def test_contract_excludes_far_dot():
     p3 = Graph.from_edges(3, [(0, 1), (0, 2)])
     cs = build_constraint_system(p3)
     box = cs.initial_box().replace(0, Interval(0.9, 1.0))
-    assert contract(box, cs) is None
+    out, ref = contract_explain(box, cs)
+    assert out is None and ref.kind == "coord-zero"
 
 
 def test_contract_fixed_point_of_solution():
@@ -73,7 +75,7 @@ def test_contract_fixed_point_of_solution():
     cs = build_constraint_system(K3)
     box = cs.initial_box()
     assert len(box) == 0
-    assert contract(box, cs) == box
+    assert contract_explain(box, cs) == (box, None)
 
 
 def test_contract_norm_narrowing():
@@ -83,7 +85,7 @@ def test_contract_norm_narrowing():
         coord_zero=(), dot_pairs=(), sep_pairs=(), sep_coords=(),
     )
     box = IntervalBox((Interval(0.8, 0.9), Interval(0.0, 0.0), Interval(0.0, 1.0)))
-    out = contract(box, cs)
+    out, _ = contract_explain(box, cs)
     assert 0.43 <= out[2].lo and out[2].hi <= 0.61
 
 
@@ -91,14 +93,66 @@ def test_contract_children_stay_inside_parent():
     cs = build_constraint_system(P4)
     from kssearch.intervals import bisect
 
-    box = contract(cs.initial_box(), cs)
+    box, _ = contract_explain(cs.initial_box(), cs)
     l, r = bisect(box)
     for child in (l, r):
-        res = contract(child, cs)
+        res, _ = contract_explain(child, cs)
         if res is not None:
             for i in range(len(res)):
                 assert res[i].lo >= child[i].lo - 1e-12
                 assert res[i].hi <= child[i].hi + 1e-12
+
+
+# Each point is within 1e-16 of an exact embedding such as (3, 0, 4)/5, and
+# keeps separation above delta = 0.5; C4 has no embedding.
+PLANTED = (
+    (C4, None),
+    (P4, (0.6, 0.0, 0.8, -0.8, 0.0, 0.6)),
+    (PAW, (0.6, 0.8, 0.0)),
+    (K13, (0.0, 0.6, 0.8, 0.0, -0.6, 0.8)),
+)
+
+
+@st.composite
+def sub_boxes(draw):
+    """A constraint system, a random sub-box of its initial box, and the
+    planted embedding the box holds with a 1e-6 margin, or None.
+
+    Without a planted point each coordinate keeps its full range half the
+    time, so that boxes also get past the coordinate-zero and norm equations
+    to the pair constraints."""
+    g, point = draw(st.sampled_from(PLANTED))
+    cs = build_constraint_system(g, draw(st.sampled_from([1e-4, 0.5])))
+    if point is not None and not draw(st.booleans()):
+        point = None
+    ivs = []
+    for k, iv in enumerate(cs.initial_box().ivs):
+        if point is not None:
+            p = point[k]
+            lo = draw(st.floats(iv.lo, max(iv.lo, p - 1e-6)))
+            iv = Interval(lo, draw(st.floats(min(iv.hi, p + 1e-6), iv.hi)))
+        elif not draw(st.booleans()):
+            a, b = sorted(draw(st.floats(iv.lo, iv.hi)) for _ in range(2))
+            iv = Interval(a, b)
+        ivs.append(iv)
+    return cs, IntervalBox(tuple(ivs)), point
+
+
+@settings(max_examples=400, deadline=None)
+@given(sub_boxes())
+def test_contract_explain_sound_on_random_sub_boxes(case):
+    # a box inside the input that keeps any planted embedding, or a
+    # refutation the exact oracle confirms
+    cs, box, planted = case
+    out, ref = contract_explain(box, cs)
+    if out is None:
+        assert planted is None, ref
+        assert recheck_refutation_exact(cs, ref), ref
+    else:
+        assert ref is None
+        assert all(box[i].lo <= out[i].lo and out[i].hi <= box[i].hi for i in range(len(box)))
+        if planted is not None:
+            assert all(out[i].lo - 1e-9 <= p <= out[i].hi + 1e-9 for i, p in enumerate(planted))
 
 
 def test_c4_refutation_with_exact_shadow():

@@ -15,7 +15,6 @@ from kssearch.grids import (
     enumerate_grid_subsystems,
     get_grid,
     grid_embed,
-    grid_graph,
     minimize_uncolourable,
     normalize_direction,
     validate_grid_embedding,
@@ -79,7 +78,7 @@ def test_orthogonality_invariant_under_normalization(x1, y1, z1, x2, y2, z2):
 
 def test_n1_grid_structure():
     sys1 = get_grid(1)
-    g = grid_graph(sys1)
+    g = sys1.graph
     assert g.n == 13
     i = sys1.directions.index((0, 0, 1))
     assert g.degree(i) == 4
@@ -100,7 +99,7 @@ def test_example_dot_product():
     a = sys2.directions.index(normalize_direction((1, 1, 2)))
     # (1,1,-1) has Chebyshev norm 1; its norm-2 representative is (2,2,-2)
     b = sys2.directions.index(normalize_direction((2, 2, -2)))
-    assert grid_graph(sys2).has_edge(a, b)
+    assert sys2.graph.has_edge(a, b)
 
 
 def test_k3_axis_embedding():

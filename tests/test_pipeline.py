@@ -9,13 +9,8 @@ import pytest
 
 from kssearch.catalog import CatalogRecord, compact, read_records
 from kssearch.graphs import Graph, graph6_encode
-from kssearch.pipeline import (
-    JobSpec,
-    evaluate_graph,
-    report_counts,
-    run_search,
-    verify_known,
-)
+from kssearch.pipeline import JobSpec, evaluate_graph, report_counts, run_search
+from kssearch.verify import verify_known
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -148,7 +143,7 @@ def test_verify_known_bundles_light(tmp_path):
 
 
 def test_prefix_bundle_reduced():
-    from kssearch.pipeline import _verify_prefix_properties
+    from kssearch.verify import _verify_prefix_properties
 
     rep = _verify_prefix_properties(n_max=6)
     assert rep["passed"] and rep["details"]["prefixes_checked"] > 0
@@ -250,6 +245,19 @@ def test_cli_embed_interval_exit_codes(tmp_path):
     assert r.returncode == 3  # budget-exhausted-inconclusive
     r = cli("embed-interval", "--budget", "100000", "--resume", ckpt, input=c4 + "\n")
     assert r.returncode == 0 and json.loads(r.stdout)["verdict"] == "unembeddable"
+
+
+def test_cli_embed_interval_resume_rejects_foreign_checkpoint(tmp_path):
+    c4 = graph6_encode(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    p4 = graph6_encode(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    ckpt = str(tmp_path / "ckpt.json")
+    r = cli("embed-interval", "--budget", "1", "--checkpoint-out", ckpt, input=c4 + "\n")
+    assert r.returncode == 3
+    # C4's residual boxes say nothing about P4, which is embeddable
+    r = cli("embed-interval", "--resume", ckpt, input=p4 + "\n")
+    assert r.returncode == 1 and r.stdout == "" and "checkpoint" in r.stderr
+    r = cli("embed-interval", "--delta", "0.01", "--resume", ckpt, input=c4 + "\n")
+    assert r.returncode == 1 and r.stdout == "" and "delta" in r.stderr
 
 
 def test_cli_verify_known_failure_exit_code(monkeypatch):
