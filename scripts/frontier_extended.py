@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
 """Extended colourability frontier: n = 13..17, resumable, not a test gate.
 
-Expected outcome (not desk-scale): every connected square-free graph with
-n <= 16 is 101-colourable, and exactly one graph on 17 vertices is not.
-There are ~18 billion classes at n = 17 alone, so plan for a long campaign:
-the job is ticket-partitioned and safe to kill and restart with the same
---out directory.
+Expected outcome: every connected square-free graph with n <= 16 is
+101-colourable, and exactly one graph on 17 vertices is not.  This script
+cannot show it at desk scale.  On one core of a 2-vCPU Intel Xeon VM
+(Python 3.11), ``enumerate_graphs(11)`` yields its 18,502 classes in about
+7 s, about 2,700 classes/s; before the canonicity test was pruned by
+automorphisms it took about 28 s, about 660 classes/s.  The classes grow
+about 6x per level and the cost per class grows with n, so even at the
+n = 11 rate the ~18 billion classes at n = 17 alone would take about 80
+CPU-days: the full n = 17 level is out of reach.  The full n = 13 level
+(932,260 classes, all 101-colourable) took 6.4 min with --workers 2, 11.2
+CPU-minutes.
 
-Example (one shard-sized slice):
+The job is ticket-partitioned and safe to kill and restart with the same
+--out directory.  Example (one shard-sized slice):
     python scripts/frontier_extended.py --n 13 --out runs/frontier \\
         --max-tickets 4 --workers 4
 """

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -109,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--budget", type=int, default=100_000)
     pi.add_argument("--delta", type=float, default=1e-4)
     pi.add_argument("--resume", default=None,
-                    help="checkpoint JSON of the same graph and --delta to resume from")
+                    help="checkpoint file to resume from: each input needs a line "
+                         "of its graph made at the same --delta")
     pi.add_argument("--checkpoint-out", default=None,
-                    help="write a resumable checkpoint when inconclusive")
+                    help="write one checkpoint line per inconclusive input")
     pi.add_argument("--out", default="-")
 
     pp = sub.add_parser("pipeline", help="full enumerate/filter/colour/embed job")
@@ -201,31 +203,41 @@ def _dispatch(args) -> int:
 
     if cmd == "embed-interval":
         out = _out_stream(args)
-        resume_g6 = resume_boxes = None
+        resume: dict[str, tuple] = {}
         if args.resume:
             with open(args.resume) as fh:
-                resume_g6, resume_delta, resume_boxes = checkpoint_from_json(fh.read())
-            if resume_delta != args.delta:
-                raise ValueError(
-                    f"checkpoint was made at delta {resume_delta}, not --delta {args.delta}"
-                )
+                for line in fh:
+                    if line.strip():
+                        g6, delta, boxes = checkpoint_from_json(line)
+                        resume[g6] = (delta, boxes)
         exit_code = EXIT_OK
-        for g in _input_graphs(args):
-            if resume_g6 is not None and graph6_encode(g) != resume_g6:
-                raise ValueError(
-                    f"checkpoint belongs to graph {resume_g6}, not {graph6_encode(g)}"
+        with contextlib.ExitStack() as stack:
+            ckpt = None
+            for g in _input_graphs(args):
+                g6 = graph6_encode(g)
+                resume_boxes = None
+                if args.resume:
+                    if g6 not in resume:
+                        raise ValueError(f"checkpoint {args.resume} has no line for graph {g6}")
+                    resume_delta, resume_boxes = resume[g6]
+                    if resume_delta != args.delta:
+                        raise ValueError(
+                            f"checkpoint of {g6} was made at delta {resume_delta}, "
+                            f"not --delta {args.delta}"
+                        )
+                verdict = decide_embeddability(
+                    g, budget=args.budget, delta=args.delta, resume_boxes=resume_boxes
                 )
-            verdict = decide_embeddability(
-                g, budget=args.budget, delta=args.delta, resume_boxes=resume_boxes
-            )
-            rec = json.loads(verdict_to_json(verdict, delta=args.delta, budget=args.budget))
-            rec["graph6"] = graph6_encode(g)
-            out.write(json.dumps(rec) + "\n")
-            if isinstance(verdict, Inconclusive):
-                exit_code = EXIT_BUDGET
-                if args.checkpoint_out:
-                    with open(args.checkpoint_out, "w") as fh:
-                        fh.write(checkpoint_to_json(g, args.delta, verdict))
+                rec = json.loads(verdict_to_json(verdict, delta=args.delta, budget=args.budget))
+                rec["graph6"] = g6
+                out.write(json.dumps(rec) + "\n")
+                if isinstance(verdict, Inconclusive):
+                    exit_code = EXIT_BUDGET
+                    if args.checkpoint_out:
+                        if ckpt is None:
+                            ckpt = stack.enter_context(open(args.checkpoint_out, "w"))
+                        ckpt.write(checkpoint_to_json(g, args.delta, verdict) + "\n")
+                        ckpt.flush()
         return exit_code
 
     if cmd == "pipeline":

@@ -8,7 +8,10 @@ isomorphism class of connected square-free graphs.
 
 Connected graphs admit a strong search restriction: every prefix of a
 canonical matrix of a connected graph is connected, so candidate vertices in
-the canonicity search may be limited to neighbours of the placed ones.
+the canonicity search may be limited to neighbours of the placed ones.  The
+search also skips work that automorphisms make redundant: twins within one
+search, and the prefix's automorphisms across all extensions of a prefix
+(see :func:`extend`).
 """
 
 from __future__ import annotations
@@ -75,21 +78,46 @@ def _spread_rows(n: int, rows, width: int) -> list[int]:
     return out
 
 
-def _is_canonical_rows(
-    n: int, rows, connected: bool, cols: list[int] | None = None
-) -> bool:
-    if n <= 2:
-        return True
-    if cols is None:
-        cols = _identity_columns(n, rows)
-    width = n
+def _twin_masks(n: int, rows) -> list[int]:
+    """Bit v of entry u is set when u != v are twins: N(u) - {v} == N(v) - {u}.
+
+    That covers open twins (equal open rows) and closed twins (equal closed
+    rows).  Swapping two twins is an automorphism fixing every other vertex.
+    """
+    out = [0] * n
+    for u in range(n):
+        ru = rows[u]
+        for v in range(u + 1, n):
+            if ru & ~(1 << v) == rows[v] & ~(1 << u):
+                out[u] |= 1 << v
+                out[v] |= 1 << u
+    return out
+
+
+def _searcher(n: int, width: int, cols, spread, twins, restrict: bool, rows, tree=None):
+    """The canonicity search over n vertices, as ``rec(depth, used, frontier, packed)``.
+
+    ``rec`` is True when no placement extending the given one has a greater
+    code than the identity, whose column values are ``cols``; ``spread``
+    holds the rows spread at ``width`` and ``twins`` the twin masks.
+    Branch-and-bound over partial placements: a branch is pruned as soon as
+    its partial code drops below the identity's, and the whole search aborts
+    the moment any partial code exceeds it.  Among tied candidates only the
+    lowest unplaced member of a twin class is explored: every unplaced twin
+    of a candidate ties with it, and swapping the two fixes the placed
+    vertices, so both subtrees give the same column sequences.  With
+    ``restrict`` (connected graphs) candidates after the first are
+    neighbours of placed vertices.  When ``tree`` is given, every node is
+    appended to it in preorder as ``(depth, used, frontier, packed)``; nodes
+    at depth n are tied leaves, that is automorphisms.
+    """
     fmask = (1 << width) - 1
-    spread = _spread_rows(n, rows, width)
     full = (1 << n) - 1
-    restrict = connected
 
     def rec(depth: int, used: int, frontier: int, packed: int) -> bool:
         if depth == n:
+            if tree is not None:
+                tree.append((depth, used, frontier, packed))
             return True
         target = cols[depth]
         cand = (frontier if (restrict and depth) else full) & ~used
@@ -102,26 +130,33 @@ def _is_canonical_rows(
             cv = packed >> w * width & fmask
             if cv > target:
                 return False
-            if cv == target:
+            if cv == target and not twins[w] & cand & (b - 1):
                 eqs.append(w)
+        if tree is not None:
+            tree.append((depth, used, frontier, packed))
         for w in eqs:
             if not rec(depth + 1, used | 1 << w, frontier | rows[w], packed << 1 | spread[w]):
                 return False
         return True
 
-    return rec(0, 0, 0, 0)
+    return rec
 
 
 def is_canonical(g: Graph, connected: bool | None = None) -> bool:
     """Exact check that no relabeling yields a strictly greater code.
 
-    Branch-and-bound over partial placements: a branch is pruned as soon as
-    its partial code drops below the identity's, and the whole search aborts
-    the moment any partial code exceeds it.
+    With ``connected`` (by default: whether g is connected) the search visits
+    only placements in which every vertex after the first has a placed
+    neighbour, which is exact for connected graphs.
     """
     if connected is None:
         connected = is_connected(g)
-    return _is_canonical_rows(g.n, g.rows, connected)
+    n, rows = g.n, g.rows
+    rec = _searcher(
+        n, n, _identity_columns(n, rows), _spread_rows(n, rows, n),
+        _twin_masks(n, rows), connected, rows,
+    )
+    return rec(0, 0, 0, 0)
 
 
 def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
@@ -200,15 +235,69 @@ def canonical_code(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> str:
 def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
     """All canonical one-vertex extensions of a canonical prefix.
 
-    Candidate last columns are tried in descending code order and filtered:
-    square-free incrementally (the new vertex must close no 4-cycle, i.e. its
-    neighbours must have pairwise disjoint neighbourhoods), connected-prefix
-    rule (empty column discarded), canonicity last.
+    Candidate last columns S are tried in descending code order and
+    filtered: square-free incrementally (the new vertex must close no
+    4-cycle, i.e. its neighbours must have pairwise disjoint
+    neighbourhoods), connected-prefix rule (empty column discarded), orbit
+    rule, canonicity last.  A prefix that is not canonical has no canonical
+    extension; neither has a disconnected one under the connected filter.
+
+    The prefix's own canonicity search runs once, at the child's width, and
+    its tree is kept.  Its tied leaves and its twin transpositions generate
+    Aut(prefix): every automorphism is a leaf of the unpruned search, which
+    twin pruning shortens only by twin transpositions.
+
+    Orbit rule: an automorphism of the prefix maps S to a column whose child
+    is isomorphic, so an S that is not the greatest of its orbit is rejected
+    without a search.  Candidates arrive in descending order and the
+    candidate set is Aut-invariant, so S is the greatest of its orbit exactly
+    when no earlier candidate's orbit contains it.
+
+    Canonicity of the child: while the new vertex k is unplaced, the child's
+    search walks the prefix's tree, whose nodes need no new scan, because
+    the prefix vertices' column values are those of the prefix.  At each node
+    only k is checked, and the child's own search runs below the node where
+    k ties.  The prefix's twin masks serve the child unchanged, though S may
+    hold a twin u and not its higher twin w: S is the greatest of its orbit,
+    so it holds the lower members of each twin class.  Before k is placed, a
+    placement that puts w before u gains by swapping them, since k's column
+    bits move up; once k is placed, u's column value exceeds w's, so a tie
+    of w is a beat by u.
     """
     k = prefix.n
     rows = prefix.rows
-    if k >= 64:
+    restrict = filters.connected
+    if k >= 64 or (restrict and not is_connected(prefix)):
         return []
+    n = k + 1
+    cols = _identity_columns(k, rows)
+    twins = _twin_masks(k, rows)
+    spread = _spread_rows(k, rows, n)
+    tree: list[tuple[int, int, int, int]] = []
+    if not _searcher(k, n, cols, spread, twins, restrict, rows, tree)(0, 0, 0, 0):
+        return []
+
+    # the vertex a node places is what its used set adds to its parent's
+    nodes = []
+    gens = []
+    used_at = [0] * n
+    path = [0] * k
+    for d, used, frontier, packed in tree:
+        v = 0
+        if d:
+            v = path[d - 1] = (used ^ used_at[d - 1]).bit_length() - 1
+            used_at[d] = used
+        nodes.append((d, v, used, frontier, packed))
+        if d == k and any(path[i] != i for i in range(k)):
+            gens.append(path.copy())
+    for u in range(k):
+        later = twins[u] >> (u + 1) << (u + 1)
+        if later:
+            v = (later & -later).bit_length() - 1
+            p = list(range(k))
+            p[u], p[v] = v, u
+            gens.append(p)
+
     conf = [0] * k
     if filters.square_free:
         for i in range(k):
@@ -217,22 +306,64 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
                 if ri & rows[j]:
                     conf[i] |= 1 << j
                     conf[j] |= 1 << i
+    kbit = 1 << k
+    ktop = 1 << k * n
+    seen: set[int] = set()
     out = []
-    connected = filters.connected
-    prefix_cols = _identity_columns(k, rows)
 
-    def emit(S: int) -> None:
-        if S == 0 and connected and k >= 1:
-            return
-        child_rows = tuple(
-            rows[i] | (1 << k) if S >> i & 1 else rows[i] for i in range(k)
-        ) + (S,)
+    def image(p: list[int], S: int) -> int:
+        T = 0
+        while S:
+            b = S & -S
+            S ^= b
+            T |= 1 << p[b.bit_length() - 1]
+        return T
+
+    def child_is_canonical(S: int, child_rows) -> bool:
+        child_spread = [spread[i] | ktop if S >> i & 1 else spread[i] for i in range(k)]
+        child_spread.append(sum(1 << i * n for i in range(k) if S >> i & 1))
         newcol = 0
         for i in range(k):
             newcol = newcol << 1 | (S >> i & 1)
-        conn = True if connected else is_connected(Graph._unchecked(k + 1, child_rows))
-        if _is_canonical_rows(k + 1, child_rows, conn, prefix_cols + [newcol]):
-            out.append(Graph._unchecked(k + 1, child_rows))
+        child_cols = cols + [newcol]
+        # k is placed in every call of rec, so rec never reads k's twin mask
+        # or k's slot in packed
+        rec = _searcher(n, n, child_cols, child_spread, twins, restrict, child_rows)
+        k_twins = sum(1 << u for u in range(k) if rows[u] == S & ~(1 << u))
+        sk = child_spread[k]
+        k_at = [0] * n  # k's column value at the current node of each depth
+        for d, v, used, frontier, packed in nodes:
+            c = 0
+            if d:
+                c = k_at[d] = k_at[d - 1] << 1 | S >> v & 1
+            target = child_cols[d]
+            if c > target:
+                return False
+            # k ties only where it is a candidate: under the connected
+            # filter the prefix's columns after the first are nonzero, so a
+            # tying k has a placed neighbour.  An unplaced twin of k, whose
+            # subtree the tree holds, stands for it.
+            if c == target and not k_twins & ~used and not rec(
+                d + 1, used | kbit, frontier | S, packed << 1 | sk
+            ):
+                return False
+        return True
+
+    def emit(S: int) -> None:
+        if S == 0 and restrict or S in seen:
+            return
+        seen.add(S)
+        stack = [S]
+        while stack:
+            T = stack.pop()
+            for p in gens:
+                U = image(p, T)
+                if U not in seen:
+                    seen.add(U)
+                    stack.append(U)
+        child_rows = tuple(rows[i] | kbit if S >> i & 1 else rows[i] for i in range(k)) + (S,)
+        if child_is_canonical(S, child_rows):
+            out.append(Graph._unchecked(n, child_rows))
 
     def dfs(v: int, S: int, allowed: int) -> None:
         if v == k:
@@ -242,7 +373,7 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
             dfs(v + 1, S | (1 << v), allowed & ~conf[v])
         dfs(v + 1, S, allowed)
 
-    dfs(0, 0, (1 << k) - 1)
+    dfs(0, 0, kbit - 1)
     return out
 
 

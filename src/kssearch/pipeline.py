@@ -163,12 +163,11 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
         with open(log_path) as fh:
             done = {line.strip() for line in fh if line.strip()}
 
+    # listed once per job: every n above the split depth shares the tickets
+    deep = list_tickets(spec.ticket_depth, spec.filters) if spec.n_max > spec.ticket_depth else []
     tasks = []
     for n in range(spec.n_min, spec.n_max + 1):
-        if n <= spec.ticket_depth:
-            tickets: list[SubtreeTicket | None] = [None]
-        else:
-            tickets = list(list_tickets(spec.ticket_depth, spec.filters))
+        tickets: list[SubtreeTicket | None] = deep if n > spec.ticket_depth else [None]
         for t in tickets:
             key = _ticket_key(n, t)
             if key in done:

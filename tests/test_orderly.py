@@ -1,8 +1,13 @@
 """Canonicity, orderly enumeration, tickets and the brute-force oracle."""
 
+import functools
+import itertools
 import random
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from kssearch.graphs import Graph, encode_upper_triangle, graph_from_code, is_connected
 from kssearch.orderly import (
@@ -30,6 +35,120 @@ def random_graph(rng, n, p=0.4):
 
 def relabel(g, perm):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@functools.cache
+def _perms(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def brute_is_canonical(g):
+    """The identity's code against the codes of all n! relabelings."""
+    n = g.n
+    adj = np.array([[g.rows[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.int64)
+    perms = _perms(n)  # perms[0] is the identity
+    codes = np.zeros(len(perms), dtype=np.int64)
+    for j in range(1, n):
+        for i in range(j):
+            codes = codes << 1 | adj[perms[:, i], perms[:, j]]
+    return bool(codes[0] == codes.max())
+
+
+def labelled_graphs(n):
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+
+
+def star(m):
+    return Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+def double_star(a, b):
+    """Adjacent centres 0 and 1 with a and b leaves."""
+    leaves = [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+    return Graph.from_edges(2 + a + b, [(0, 1)] + leaves)
+
+
+def spider(m, legs):
+    """K1,m whose first leaves carry pendant paths of the given lengths."""
+    edges = [(0, i) for i in range(1, m + 1)]
+    n = m + 1
+    for leaf, length in enumerate(legs, 1):
+        prev = leaf
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph.from_edges(n, edges)
+
+
+TWIN_HEAVY = [
+    star(5), star(6), star(7),
+    double_star(2, 2), double_star(3, 2), double_star(3, 3), double_star(2, 4),
+    spider(4, [1]), spider(4, [1, 1]), spider(3, [2]), spider(5, [1, 1]), spider(3, [1, 1, 1]),
+    Graph.from_edges(6, [(u, v) for u in range(2) for v in range(2, 6)]),  # K2,4
+    Graph.from_edges(7, [(0, 1)] + [(u, v) for u in range(2) for v in range(2, 7)]),  # book
+    Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),  # K6
+]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_canonical_matches_brute_force_on_every_labelled_graph(n):
+    for g in labelled_graphs(n):
+        expected = brute_is_canonical(g)
+        assert is_canonical(g) == expected, g
+        assert is_canonical(g, connected=False) == expected, g
+
+
+@pytest.mark.parametrize("g", TWIN_HEAVY, ids=encode_upper_triangle)
+def test_is_canonical_matches_brute_force_on_twin_heavy_graphs(g):
+    rng = random.Random(g.n)
+    labellings = [g, canonical_label(g)]
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        labellings += [relabel(g, perm), relabel(canonical_label(g), perm)]
+    for h in labellings:
+        expected = brute_is_canonical(h)
+        assert is_canonical(h, connected=True) == expected
+        assert is_canonical(h, connected=False) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(
+        [(i, j) for j in range(1, n) for i in range(j)])))
+))
+def test_is_canonical_matches_brute_force_on_drawn_graphs(drawn):
+    n, edges = drawn
+    g = Graph.from_edges(n, edges)
+    for h in (g, canonical_label(g)):
+        expected = brute_is_canonical(h)
+        assert is_canonical(h, connected=False) == expected
+        if is_connected(h):
+            assert is_canonical(h, connected=True) == expected
+
+
+@pytest.mark.parametrize("square_free", [True, False])
+@pytest.mark.parametrize("connected", [True, False])
+def test_extend_matches_brute_force_children(square_free, connected):
+    """extend(P) lists, in descending code order, exactly the oracle's classes
+    on one more vertex whose canonical form has P as its prefix."""
+    filters = Filters(square_free, connected)
+    for k in range(1, 7):
+        children = {}
+        for g in brute_force_classes(k + 1, square_free, connected):
+            prefix = Graph(k, tuple(r & ((1 << k) - 1) for r in g.rows[:k]))
+            children.setdefault(prefix, []).append(encode_upper_triangle(g))
+        prefixes = set(brute_force_classes(k, square_free, connected))
+        if not square_free and k <= 4:
+            # non-canonical and (under the connected filter) disconnected
+            # prefixes have no canonical extension
+            prefixes.update(labelled_graphs(k))
+        for p in prefixes:
+            expected = sorted(children.pop(p, []), reverse=True)
+            assert [encode_upper_triangle(c) for c in extend(p, filters)] == expected, p
+        assert not children
 
 
 def test_canonicity_examples():

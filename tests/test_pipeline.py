@@ -260,6 +260,24 @@ def test_cli_embed_interval_resume_rejects_foreign_checkpoint(tmp_path):
     assert r.returncode == 1 and r.stdout == "" and "delta" in r.stderr
 
 
+def test_cli_embed_interval_checkpoints_every_inconclusive_input(tmp_path):
+    c4, g10 = "Cl", "I{O_ogI@W"
+    both = f"{c4}\n{g10}\n"
+    ckpt = str(tmp_path / "ckpt.jsonl")
+    r = cli("embed-interval", "--budget", "1", "--checkpoint-out", ckpt, input=both)
+    assert r.returncode == 3
+    with open(ckpt) as fh:
+        assert [json.loads(line)["graph6"] for line in fh] == [c4, g10]
+    # each input resumes from its own line: C4 finishes, the n = 10 class goes on
+    r = cli("embed-interval", "--budget", "50", "--resume", ckpt, input=both)
+    assert r.returncode == 3, r.stderr
+    verdicts = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [(v["graph6"], v["verdict"]) for v in verdicts] == [
+        (c4, "unembeddable"),
+        (g10, "inconclusive"),
+    ]
+
+
 def test_cli_verify_known_failure_exit_code(monkeypatch):
     r = cli("verify-known", "grid-counts")
     assert r.returncode == 0
