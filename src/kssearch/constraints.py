@@ -22,11 +22,12 @@ from .graphs import Graph, triangles
 from .intervals import (
     Interval,
     IntervalBox,
-    ONE,
     QInterval,
-    ZERO,
+    hull_of_cuts,
     isqrt_nonneg,
+    mul,
     narrow_by_div,
+    sqr,
     _up,
 )
 
@@ -178,84 +179,120 @@ def contract_explain(box: IntervalBox, cs: ConstraintSystem):
         return None, e.refutation
 
 
-def _abs_band(domain: Interval, sq_range: Interval) -> Interval | None:
-    """domain ∩ {x : x^2 ∈ sq_range}, hulled over the two sign branches."""
-    root = isqrt_nonneg(sq_range)
-    if root is None:
-        return None
-    rl, rh = root.lo, root.hi
-    best: Interval | None = None
-    for piece in (Interval(-rh, -max(rl, 0.0)), Interval(max(rl, 0.0), rh)):
-        cut = domain.intersect(piece)
-        if cut is not None:
-            best = cut if best is None else best.hull(cut)
-    return best
-
-
 # the two other coordinates of each coordinate, ascending
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
-    ivs = list(box.ivs)
+    """The sweep on float endpoints; raises :class:`EmptyBox`.
+
+    The box lives in two float lists, ``lo`` and ``hi``; an ``Interval`` is
+    built only for the result or a refutation's snapshot.  Each step performs
+    the float operations of the ``Interval`` arithmetic, in the same order:
+    a sum of products starts from 0.0 as ``ZERO + p0 + p1 + p2`` did,
+    products and squares go through :func:`mul` and :func:`sqr`, and
+    intersections keep ``max``/``min``'s argument order, so signed zeros come
+    out the same.  The outward rounding of sums is ``nextafter`` written out.
+    It equals the guarded ``_dn``/``_up`` except at an infinity, which sums
+    over the solver's boxes (endpoints in [-1, 1]) never reach; the
+    divisions, which can overflow, round inside :func:`narrow_by_div`.
+    """
+    lo = [iv.lo for iv in box.ivs]
+    hi = [iv.hi for iv in box.ivs]
+    nx = math.nextafter
+    inf = math.inf
+    ninf = -inf
 
     def fail(kind: str, detail: tuple) -> None:
-        raise EmptyBox(Refutation(kind, detail, tuple(ivs)))
+        raise EmptyBox(Refutation(kind, detail, tuple(map(Interval, lo, hi))))
 
-    def setiv(i: int, iv: Interval | None, kind: str, detail: tuple) -> None:
-        if iv is None:
-            fail(kind, detail)
-        ivs[i] = iv
-
-    def narrow_pairs(pairs, band: Interval | None, kind: str) -> None:
+    def narrow_pairs(pairs, band, kind: str) -> None:
         """Narrow u.v into ``band`` (u.v = 0 when None) for each slot pair,
         solving each product u_c v_c against the other two."""
+        if band is not None:
+            blo, bhi = band
+        pl = [0.0, 0.0, 0.0]
+        ph = [0.0, 0.0, 0.0]
         for s, t in pairs:
-            prods = [ivs[3 * s + c] * ivs[3 * t + c] for c in range(3)]
-            full = ZERO + prods[0] + prods[1] + prods[2]
-            if (not full.contains_zero()) if band is None else (full.intersect(band) is None):
+            for c in (0, 1, 2):
+                i, j = 3 * s + c, 3 * t + c
+                pl[c], ph[c] = mul(lo[i], hi[i], lo[j], hi[j])
+            fl = nx(nx(nx(0.0 + pl[0], ninf) + pl[1], ninf) + pl[2], ninf)
+            fh = nx(nx(nx(0.0 + ph[0], inf) + ph[1], inf) + ph[2], inf)
+            if not (fl <= 0.0 <= fh if band is None else hull_of_cuts(fl, fh, (band,))):
                 fail(kind, (s, t))
-            for c in range(3):
+            for c in (0, 1, 2):
                 i, j = 3 * s + c, 3 * t + c
                 a, b = _OTHERS[c]
-                rest = ZERO + prods[a] + prods[b]
-                # negation is exact; ZERO - rest would round one ulp outward
-                target = -rest if band is None else band - rest
-                setiv(i, narrow_by_div(ivs[i], target, ivs[j]), kind, (s, t))
-                setiv(j, narrow_by_div(ivs[j], target, ivs[i]), kind, (s, t))
-                prods[c] = ivs[i] * ivs[j]
+                rl = nx(nx(0.0 + pl[a], ninf) + pl[b], ninf)
+                rh = nx(nx(0.0 + ph[a], inf) + ph[b], inf)
+                if band is None:
+                    # negation is exact; ZERO - rest would round one ulp outward
+                    tl, th = -rh, -rl
+                else:
+                    tl, th = nx(blo - rh, ninf), nx(bhi - rl, inf)
+                cut = narrow_by_div(lo[i], hi[i], tl, th, lo[j], hi[j])
+                if cut is None:
+                    fail(kind, (s, t))
+                lo[i], hi[i] = cut
+                cut = narrow_by_div(lo[j], hi[j], tl, th, lo[i], hi[i])
+                if cut is None:
+                    fail(kind, (s, t))
+                lo[j], hi[j] = cut
+                pl[c], ph[c] = mul(lo[i], hi[i], lo[j], hi[j])
 
     # coordinate-zero equations (edges into pinned axes)
     for s, c in cs.coord_zero:
         i = 3 * s + c
-        if not ivs[i].contains_zero():
+        if not lo[i] <= 0.0 <= hi[i]:
             fail("coord-zero", (s, c))
-        ivs[i] = ZERO
+        lo[i] = hi[i] = 0.0
 
-    # unit norms
+    # unit norms: each coordinate's square lies in 1 minus the other two
     for s in cs.norm_slots:
         base = 3 * s
-        sq = [ivs[base + c].sqr() for c in range(3)]
-        total = sq[0] + sq[1] + sq[2]
-        if not (total - ONE).contains_zero():
+        sq = [sqr(lo[i], hi[i]) for i in (base, base + 1, base + 2)]
+        tl = nx(nx(sq[0][0] + sq[1][0], ninf) + sq[2][0], ninf)
+        th = nx(nx(sq[0][1] + sq[1][1], inf) + sq[2][1], inf)
+        if not nx(tl - 1.0, ninf) <= 0.0 <= nx(th - 1.0, inf):
             fail("norm", (s,))
-        for c in range(3):
-            rest = ONE - sq[(c + 1) % 3] - sq[(c + 2) % 3]
-            setiv(base + c, _abs_band(ivs[base + c], rest), "norm", (s,))
-            sq[c] = ivs[base + c].sqr()
+        for c in (0, 1, 2):
+            ql, qh = sq[(c + 1) % 3]
+            rl, rh = sq[(c + 2) % 3]
+            # 1 - q - r, then x ∩ ±sqrt of it, hulled over the two signs
+            root = isqrt_nonneg(
+                nx(nx(1.0 - qh, ninf) - rh, ninf), nx(nx(1.0 - ql, inf) - rl, inf)
+            )
+            cut = None
+            if root is not None:
+                m = 0.0 if 0.0 > root[0] else root[0]
+                cut = hull_of_cuts(lo[base + c], hi[base + c], ((-root[1], -m), (m, root[1])))
+            if cut is None:
+                fail("norm", (s,))
+            lo[base + c], hi[base + c] = cut
+            sq[c] = sqr(lo[base + c], hi[base + c])
 
     # dot products on edges between free vertices
     narrow_pairs(cs.dot_pairs, None, "edge-dot")
 
     # separation inequalities
     bound = cs.sep_bound
-    band = Interval(-bound, bound)
+    band = (-bound, bound)
     for s, c in cs.sep_coords:
         i = 3 * s + c
-        setiv(i, ivs[i].intersect(band), "separation-axis", (s, c))
+        cut = hull_of_cuts(lo[i], hi[i], (band,))
+        if cut is None:
+            fail("separation-axis", (s, c))
+        lo[i], hi[i] = cut
     narrow_pairs(cs.sep_pairs, band, "separation")
 
-    return IntervalBox(tuple(ivs))
+    # an interval whose endpoints are the input's own float objects is kept,
+    # so boxes share what a sweep left alone; the list makes the tuple's size
+    # known up front, so it reuses a freed box tuple
+    return IntervalBox(tuple([
+        iv if iv.lo is a and iv.hi is b else Interval(a, b)
+        for iv, a, b in zip(box.ivs, lo, hi)
+    ]))
 
 
 # ---------------------------------------------------------------------------

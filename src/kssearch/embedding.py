@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -34,7 +35,7 @@ from .constraints import (
     contract_explain,
     recheck_refutation_exact,
 )
-from .intervals import Interval, IntervalBox, WidthUnderflow, bisect
+from .intervals import Interval, IntervalBox, WidthUnderflow, bisect, midpoint, mul, _dn, _up
 
 CHECKPOINT_VERSION = 1
 
@@ -136,24 +137,30 @@ def _equations(cs: ConstraintSystem):
     return eqs
 
 
-def _residuals_at(cs: ConstraintSystem, eqs, pt) -> list[Interval]:
-    """Interval residuals at a thin point (outward rounded)."""
-    out = []
-    thin = [Interval.point(v) for v in pt]
-    one = Interval(1.0, 1.0)
+def _residuals_at(cs: ConstraintSystem, eqs, pt) -> tuple[list[float], list[float]]:
+    """Outward-rounded residuals at a thin point, as (lo, hi) endpoint lists."""
+    rlo, rhi = [], []
     for eq in eqs:
         if eq[0] == "norm":
             s = eq[1]
-            out.append(thin[3 * s].sqr() + thin[3 * s + 1].sqr() + thin[3 * s + 2].sqr() - one)
+            x, y, z = pt[3 * s], pt[3 * s + 1], pt[3 * s + 2]
+            lo = _dn(_dn(_dn(x * x) + _dn(y * y)) + _dn(z * z))
+            hi = _up(_up(_up(x * x) + _up(y * y)) + _up(z * z))
+            rlo.append(_dn(lo - 1.0))
+            rhi.append(_up(hi - 1.0))
         elif eq[0] == "coord":
-            out.append(thin[3 * eq[1] + eq[2]])
+            rlo.append(pt[3 * eq[1] + eq[2]])
+            rhi.append(pt[3 * eq[1] + eq[2]])
         else:
             s, t = eq[1], eq[2]
-            acc = Interval(0.0, 0.0)
+            lo = hi = 0.0
             for c in range(3):
-                acc = acc + thin[3 * s + c] * thin[3 * t + c]
-            out.append(acc)
-    return out
+                p = pt[3 * s + c] * pt[3 * t + c]
+                lo = _dn(lo + _dn(p))
+                hi = _up(hi + _up(p))
+            rlo.append(lo)
+            rhi.append(hi)
+    return rlo, rhi
 
 
 def _float_residuals(cs: ConstraintSystem, eqs, pt: np.ndarray) -> np.ndarray:
@@ -188,26 +195,6 @@ def _float_jacobian(cs: ConstraintSystem, eqs, pt: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _interval_jacobian(cs: ConstraintSystem, eqs, box: IntervalBox, slices):
-    m = len(eqs) + len(slices)
-    rows: list[list[Interval]] = [[Interval(0.0, 0.0)] * cs.num_vars for _ in range(m)]
-    for i, eq in enumerate(eqs):
-        if eq[0] == "norm":
-            s = eq[1]
-            for c in range(3):
-                rows[i][3 * s + c] = box[3 * s + c].scale(2.0)
-        elif eq[0] == "coord":
-            rows[i][3 * eq[1] + eq[2]] = Interval(1.0, 1.0)
-        else:
-            s, t = eq[1], eq[2]
-            for c in range(3):
-                rows[i][3 * s + c] = box[3 * t + c]
-                rows[i][3 * t + c] = box[3 * s + c]
-    for k, (coord, _val) in enumerate(slices):
-        rows[len(eqs) + k][coord] = Interval(1.0, 1.0)
-    return rows
-
-
 def choose_slices(cs: ConstraintSystem, pt: np.ndarray) -> tuple[tuple[int, float], ...]:
     """Coordinate pins that square up an under-determined system at pt.
 
@@ -239,37 +226,83 @@ def choose_slices(cs: ConstraintSystem, pt: np.ndarray) -> tuple[tuple[int, floa
     return tuple((c, float(pt[c])) for c in sorted(picks))
 
 
-def _krawczyk_image(cs: ConstraintSystem, eqs, cur: IntervalBox, slices):
-    """K(cur) = mid - C f(mid) + (I - C J(cur))(cur - mid); str on failure."""
+def _krawczyk_image(cs: ConstraintSystem, eqs, lo: list[float], hi: list[float], slices):
+    """K(cur) = mid - C f(mid) + (I - C J(cur))(cur - mid) on float endpoints.
+
+    ``cur`` is [lo[i], hi[i]] per variable; returns the image as (lo, hi)
+    lists, or a str on failure.  The arithmetic is the ``Interval``
+    arithmetic written out on endpoints, in the same order: every sum starts
+    from 0.0, scaling an interval by a matrix entry k multiplies both ends by
+    k (swapping them when k < 0) and rounds each outward, and a zero Jacobian
+    entry still adds its scaled [0, 0], one ulp either side of zero.
+    """
     nv = cs.num_vars
-    mid = cur.midpoint()
-    fmid = _residuals_at(cs, eqs, mid)
+    mid = [midpoint(a, b) for a, b in zip(lo, hi)]
+    flo, fhi = _residuals_at(cs, eqs, mid)
     for coord, val in slices:
-        fmid.append(Interval.point(mid[coord]) - Interval.point(val))
-    jac = _interval_jacobian(cs, eqs, cur, slices)
-    jmid = np.array([[0.5 * (iv.lo + iv.hi) for iv in row] for row in jac])
+        flo.append(_dn(mid[coord] - val))
+        fhi.append(_up(mid[coord] - val))
+    # interval Jacobian, stored by column: jlo[j][k] is row k's entry for variable j
+    jlo = [[0.0] * nv for _ in range(nv)]
+    jhi = [[0.0] * nv for _ in range(nv)]
+    for k, eq in enumerate(eqs):
+        if eq[0] == "norm":
+            s = eq[1]
+            for c in range(3):
+                jlo[3 * s + c][k] = _dn(lo[3 * s + c] * 2.0)
+                jhi[3 * s + c][k] = _up(hi[3 * s + c] * 2.0)
+        elif eq[0] == "coord":
+            jlo[3 * eq[1] + eq[2]][k] = jhi[3 * eq[1] + eq[2]][k] = 1.0
+        else:
+            s, t = eq[1], eq[2]
+            for c in range(3):
+                jlo[3 * s + c][k], jhi[3 * s + c][k] = lo[3 * t + c], hi[3 * t + c]
+                jlo[3 * t + c][k], jhi[3 * t + c][k] = lo[3 * s + c], hi[3 * s + c]
+    for k, (coord, _val) in enumerate(slices, start=len(eqs)):
+        jlo[coord][k] = jhi[coord][k] = 1.0
+    jmid = (0.5 * (np.array(jlo) + np.array(jhi))).T
     try:
         cmat = np.linalg.inv(jmid)
     except np.linalg.LinAlgError:
         return "singular midpoint Jacobian"
     if not np.all(np.isfinite(cmat)):
         return "non-finite preconditioner"
-    delta_iv = [cur[i] - Interval.point(mid[i]) for i in range(nv)]
-    newbox = []
-    for i in range(nv):
-        cf = Interval(0.0, 0.0)
+    dlo = [_dn(a - m) for a, m in zip(lo, mid)]
+    dhi = [_up(b - m) for b, m in zip(hi, mid)]
+    nx = math.nextafter
+    inf = math.inf
+    ninf = -inf
+    klo, khi = [], []
+    for i, crow in enumerate(cmat.tolist()):
+        cl = ch = 0.0
+        for a, b, k in zip(flo, fhi, crow):
+            if k >= 0:
+                cl, ch = _dn(cl + _dn(a * k)), _up(ch + _up(b * k))
+            else:
+                cl, ch = _dn(cl + _dn(b * k)), _up(ch + _up(a * k))
+        al, ah = _dn(mid[i] - ch), _up(mid[i] - cl)
         for j in range(nv):
-            cf = cf + fmid[j].scale(cmat[i, j])
-        acc = Interval.point(mid[i]) - cf
-        for j in range(nv):
-            mij = Interval.point(1.0 if i == j else 0.0)
-            s = Interval(0.0, 0.0)
-            for k in range(nv):
-                s = s + jac[k][j].scale(cmat[i, k])
-            mij = mij - s
-            acc = acc + mij * delta_iv[j]
-        newbox.append(acc)
-    return newbox
+            # s = sum over k of C[i][k] * J[k][j], the operator's inner loop:
+            # _dn and _up written out, their guards included, since a huge
+            # C[i][k] can overflow a product or a sum to inf
+            sl = sh = 0.0
+            for a, b, k in zip(jlo[j], jhi[j], crow):
+                if k >= 0:
+                    a, b = a * k, b * k
+                else:
+                    a, b = b * k, a * k
+                a = nx(a, ninf) if a != inf else a
+                b = nx(b, inf) if b != ninf else b
+                sl += a
+                sh += b
+                sl = nx(sl, ninf) if sl != inf else sl
+                sh = nx(sh, inf) if sh != ninf else sh
+            e = 1.0 if i == j else 0.0
+            pl, ph = mul(_dn(e - sh), _up(e - sl), dlo[j], dhi[j])
+            al, ah = _dn(al + pl), _up(ah + ph)
+        klo.append(al)
+        khi.append(ah)
+    return klo, khi
 
 
 def prove_root_in_box(
@@ -297,32 +330,25 @@ def prove_root_in_box(
     if m < nv:
         return NewtonResult(None, f"under-determined: {m} equations, {nv} variables; slices required")
 
-    cur = box
+    lo = [iv.lo for iv in box.ivs]
+    hi = [iv.hi for iv in box.ivs]
     for it in range(1, max_iter + 1):
-        newbox = _krawczyk_image(cs, eqs, cur, slices)
-        if isinstance(newbox, str):
-            return NewtonResult(None, newbox)
-        if all(newbox[i].strictly_inside(cur[i]) for i in range(nv)):
-            refined = []
-            for i in range(nv):
-                cut = newbox[i].intersect(cur[i])
-                refined.append(cut if cut is not None else cur[i])
-            return NewtonResult(
-                KrawczykCertificate(cur, IntervalBox(tuple(refined)), tuple(slices), it),
-                "certified",
-            )
-        shrunk = []
-        progress = False
-        for i in range(nv):
-            cut = newbox[i].intersect(cur[i])
-            if cut is None:
-                return NewtonResult(None, "Krawczyk image disjoint from box")
-            if cut.width < cur[i].width * 0.9:
-                progress = True
-            shrunk.append(cut)
-        if not progress:
+        image = _krawczyk_image(cs, eqs, lo, hi, slices)
+        if isinstance(image, str):
+            return NewtonResult(None, image)
+        klo, khi = image
+        # the image's endpoints cut with the box's, as Interval.intersect does
+        cut_lo = [max(a, b) for a, b in zip(klo, lo)]
+        cut_hi = [min(a, b) for a, b in zip(khi, hi)]
+        if all(a < ka and kb < b for a, b, ka, kb in zip(lo, hi, klo, khi)):
+            refined = IntervalBox(tuple(map(Interval, cut_lo, cut_hi)))
+            cur = IntervalBox(tuple(map(Interval, lo, hi)))
+            return NewtonResult(KrawczykCertificate(cur, refined, tuple(slices), it), "certified")
+        if any(not a <= b for a, b in zip(cut_lo, cut_hi)):
+            return NewtonResult(None, "Krawczyk image disjoint from box")
+        if not any(b - a < (h - l) * 0.9 for a, b, l, h in zip(cut_lo, cut_hi, lo, hi)):
             return NewtonResult(None, "Krawczyk not contracting")
-        cur = IntervalBox(tuple(shrunk))
+        lo, hi = cut_lo, cut_hi
     return NewtonResult(None, f"no containment within {max_iter} iterations")
 
 
@@ -351,21 +377,20 @@ def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem, steps: i
     certificate's outer box (None on the impossible escape/disjoint case).
     """
     eqs = _equations(cs)
-    cur = cert.box
+    outer_lo = [iv.lo for iv in cert.box.ivs]
+    outer_hi = [iv.hi for iv in cert.box.ivs]
+    lo, hi = outer_lo, outer_hi
     for _ in range(steps):
-        res = _krawczyk_image(cs, eqs, cur, cert.slices)
-        if isinstance(res, str):
+        image = _krawczyk_image(cs, eqs, lo, hi, cert.slices)
+        if isinstance(image, str):
             return None
-        nxt = []
-        for i in range(cs.num_vars):
-            cut = res[i].intersect(cur[i])
-            if cut is None:
+        cut_lo = [max(a, b) for a, b in zip(image[0], lo)]
+        cut_hi = [min(a, b) for a, b in zip(image[1], hi)]
+        for a, b, ol, oh in zip(cut_lo, cut_hi, outer_lo, outer_hi):
+            if not a <= b or not (ol <= a and b <= oh):
                 return None
-            if not (cert.box[i].lo <= cut.lo and cut.hi <= cert.box[i].hi):
-                return None
-            nxt.append(cut)
-        cur = IntervalBox(tuple(nxt))
-    return cur
+        lo, hi = cut_lo, cut_hi
+    return IntervalBox(tuple(map(Interval, lo, hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from fractions import Fraction
 _INF = math.inf
 
 
+# nextafter already leaves -inf (going down), +inf (going up) and nan alone;
+# the guards keep the other infinity from becoming the largest finite float
 def _dn(x: float) -> float:
-    return math.nextafter(x, -_INF) if math.isfinite(x) else x
+    return math.nextafter(x, -_INF) if x != _INF else x
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF) if math.isfinite(x) else x
+    return math.nextafter(x, _INF) if x != -_INF else x
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,31 +51,16 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        p = (a * c, a * d, b * c, b * d)
-        return Interval(_dn(min(p)), _up(max(p)))
-
-    def scale(self, k: float) -> "Interval":
-        if k >= 0:
-            return Interval(_dn(self.lo * k), _up(self.hi * k))
-        return Interval(_dn(self.hi * k), _up(self.lo * k))
+        return Interval(*mul(self.lo, self.hi, other.lo, other.hi))
 
     def sqr(self) -> "Interval":
-        a, b = self.lo, self.hi
-        if a >= 0:
-            return Interval(_dn(a * a), _up(b * b))
-        if b <= 0:
-            return Interval(_dn(b * b), _up(a * a))
-        return Interval(0.0, _up(max(a * a, b * b)))
+        return Interval(*sqr(self.lo, self.hi))
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
-
-    def strictly_inside(self, other: "Interval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
@@ -89,65 +76,109 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        return min(max(m, self.lo), self.hi)
+        return midpoint(self.lo, self.hi)
 
 
-ZERO = Interval(0.0, 0.0)
-ONE = Interval(1.0, 1.0)
+# ---------------------------------------------------------------------------
+# Float-endpoint helpers: an interval is a (lo, hi) pair of floats
+#
+# The hot loops (the contractor sweep, the Krawczyk image) work on these, not
+# on Interval objects.  ``min`` and ``max`` are written out: ``b if b < a
+# else a`` is ``min(a, b)``, ties and signed zeros included, and costs a
+# fraction of the builtin call.
+
+def midpoint(lo: float, hi: float) -> float:
+    """Midpoint of [lo, hi], clamped into it (halves first on overflow)."""
+    m = 0.5 * (lo + hi)
+    if not math.isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    return min(max(m, lo), hi)
 
 
-def isqrt_nonneg(x: Interval) -> Interval | None:
-    """Enclosure of sqrt over x ∩ [0, ∞); None when x is entirely negative."""
-    if x.hi < 0:
+def mul(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """[a, b] * [c, d], outward rounded."""
+    p0, p1, p2, p3 = a * c, a * d, b * c, b * d
+    lo = p1 if p1 < p0 else p0
+    lo = p2 if p2 < lo else lo
+    lo = p3 if p3 < lo else lo
+    hi = p1 if p1 > p0 else p0
+    hi = p2 if p2 > hi else hi
+    hi = p3 if p3 > hi else hi
+    return _dn(lo), _up(hi)
+
+
+def sqr(a: float, b: float) -> tuple[float, float]:
+    """{x^2 : x in [a, b]}, outward rounded."""
+    if a >= 0:
+        return _dn(a * a), _up(b * b)
+    if b <= 0:
+        return _dn(b * b), _up(a * a)
+    a, b = a * a, b * b
+    return 0.0, _up(b if b > a else a)
+
+
+def isqrt_nonneg(lo: float, hi: float) -> tuple[float, float] | None:
+    """Enclosure of sqrt over [lo, hi] ∩ [0, ∞); None when hi < 0."""
+    if hi < 0:
         return None
-    lo = max(x.lo, 0.0)
-    return Interval(_dn(math.sqrt(lo)), _up(math.sqrt(x.hi)))
+    lo = 0.0 if 0.0 > lo else lo
+    return _dn(math.sqrt(lo)), _up(math.sqrt(hi))
 
 
-def extended_div(num: Interval, den: Interval) -> list[Interval]:
-    """num / den as 0, 1 or 2 intervals (splitting around a zero of den).
+def extended_div(a: float, b: float, c: float, d: float) -> list[tuple[float, float]]:
+    """[a, b] / [c, d] as 0, 1 or 2 intervals (splitting around a zero of den).
 
-    The union of the returned intervals contains every x with x*d ∈ num for
-    some d ∈ den.  A two-sided zero denominator with 0 ∈ num yields the whole
-    line (returned as one interval).
+    The union of the returned intervals contains every x with x*y ∈ [a, b]
+    for some y ∈ [c, d].  A two-sided zero denominator with 0 ∈ [a, b] yields
+    the whole line (returned as one interval).
     """
-    a, b = num.lo, num.hi
-    c, d = den.lo, den.hi
     if c == 0.0 and d == 0.0:
-        return [Interval(-_INF, _INF)] if num.contains_zero() else []
+        return [(-_INF, _INF)] if a <= 0.0 <= b else []
     if c > 0 or d < 0:
-        lo = min(_dn(a / c), _dn(a / d), _dn(b / c), _dn(b / d))
-        hi = max(_up(a / c), _up(a / d), _up(b / c), _up(b / d))
-        return [Interval(lo, hi)]
+        # rounding is monotone, so rounding the extreme quotient equals
+        # taking the extreme of the rounded quotients
+        q0, q1, q2, q3 = a / c, a / d, b / c, b / d
+        lo = q1 if q1 < q0 else q0
+        lo = q2 if q2 < lo else lo
+        lo = q3 if q3 < lo else lo
+        hi = q1 if q1 > q0 else q0
+        hi = q2 if q2 > hi else hi
+        hi = q3 if q3 > hi else hi
+        return [(_dn(lo), _up(hi))]
     # den straddles zero
-    if num.contains_zero():
-        return [Interval(-_INF, _INF)]
+    if a <= 0.0 <= b:
+        return [(-_INF, _INF)]
     out = []
     if b < 0:
         if d > 0:
-            out.append(Interval(-_INF, _up(b / d)))
+            out.append((-_INF, _up(b / d)))
         if c < 0:
-            out.append(Interval(_dn(b / c), _INF))
+            out.append((_dn(b / c), _INF))
     else:  # a > 0
         if c < 0:
-            out.append(Interval(-_INF, _up(a / c)))
+            out.append((-_INF, _up(a / c)))
         if d > 0:
-            out.append(Interval(_dn(a / d), _INF))
+            out.append((_dn(a / d), _INF))
     return out
 
 
-def narrow_by_div(var: Interval, num: Interval, den: Interval) -> Interval | None:
-    """var ∩ (num / den), hulled when the division splits; None when empty."""
-    pieces = extended_div(num, den)
-    best: Interval | None = None
-    for p in pieces:
-        cut = var.intersect(p)
-        if cut is not None:
-            best = cut if best is None else best.hull(cut)
+def hull_of_cuts(lo: float, hi: float, pieces) -> tuple[float, float] | None:
+    """[lo, hi] ∩ (union of pieces), hulled; None when every cut is empty."""
+    best = None
+    for plo, phi in pieces:
+        cl = plo if plo > lo else lo
+        ch = phi if phi < hi else hi
+        if cl <= ch:
+            if best is not None:
+                cl = cl if cl < best[0] else best[0]
+                ch = ch if ch > best[1] else best[1]
+            best = (cl, ch)
     return best
+
+
+def narrow_by_div(lo: float, hi: float, a: float, b: float, c: float, d: float):
+    """[lo, hi] ∩ ([a, b] / [c, d]), hulled when the division splits; None when empty."""
+    return hull_of_cuts(lo, hi, extended_div(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .graphs import (
     encode_upper_triangle,
     graph_from_code,
     is_connected,
+    is_square_free,
 )
 
 DEFAULT_NODE_LIMIT = 5_000_000
@@ -413,7 +414,9 @@ def enumerate_graphs(
     """Stream one canonical representative per isomorphism class at n_target.
 
     Deterministic DFS order (descending candidate column code).  With a
-    ticket, only that subtree is walked.
+    ticket, only that subtree is walked; a ticket whose prefix the
+    enumeration never reaches (not canonical, or failing a filter) raises
+    ValueError rather than yielding nothing.
     """
     if not 1 <= n_target <= 64:
         raise ValueError("n_target outside 1..64")
@@ -423,6 +426,12 @@ def enumerate_graphs(
         start = ticket.prefix
         if start.n > n_target:
             raise ValueError("ticket deeper than enumeration target")
+        if filters.connected and not is_connected(start):
+            raise ValueError(f"ticket {ticket.ticket_id}: prefix is disconnected")
+        if filters.square_free and not is_square_free(start):
+            raise ValueError(f"ticket {ticket.ticket_id}: prefix contains a 4-cycle")
+        if not is_canonical(start):
+            raise ValueError(f"ticket {ticket.ticket_id}: prefix is not canonical")
 
     def walk(g: Graph) -> Iterator[Graph]:
         if g.n == n_target:

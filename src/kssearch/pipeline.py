@@ -25,6 +25,7 @@ from .graphs import (
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import is_k_colourable, solve_101, validate_101
 from .grids import get_grid, grid_embed, validate_grid_embedding
+from .constraints import MIN_DELTA
 from .embedding import decide_embeddability
 from .catalog import CatalogRecord, compact, read_records
 
@@ -53,8 +54,8 @@ class JobSpec:
             raise ValueError("workers must be positive")
         if any(not 1 <= g <= 32 for g in self.grid_ladder):
             raise ValueError("grid ladder entries must lie in 1..32")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0,1)")
+        if not MIN_DELTA <= self.delta < 1:
+            raise ValueError(f"delta must lie in [{MIN_DELTA}, 1)")
 
     @property
     def filters(self) -> Filters:

@@ -38,29 +38,33 @@ def test_add_sub_mul_enclosure(a, b, c, d, t1, t2):
     assert x.sqr().contains(px * px)
 
 
+def contains(pair, v) -> bool:
+    return pair[0] <= v <= pair[1]
+
+
 @given(finite, finite)
 def test_sqrt_enclosure(a, b):
     x = iv(abs(a), abs(b))
-    r = isqrt_nonneg(x)
+    r = isqrt_nonneg(x.lo, x.hi)
     assert r is not None
     mid = 0.5 * (x.lo + x.hi)
-    assert r.contains(math.sqrt(mid))
+    assert contains(r, math.sqrt(mid))
 
 
 def test_sqrt_negative_interval():
-    assert isqrt_nonneg(Interval(-2.0, -1.0)) is None
-    r = isqrt_nonneg(Interval(-1.0, 4.0))
-    assert r.contains(0.0) and r.contains(2.0)
+    assert isqrt_nonneg(-2.0, -1.0) is None
+    r = isqrt_nonneg(-1.0, 4.0)
+    assert contains(r, 0.0) and contains(r, 2.0)
 
 
 def test_extended_division_cases():
-    whole = extended_div(Interval(1.0, 2.0), Interval(0.0, 0.0))
+    whole = extended_div(1.0, 2.0, 0.0, 0.0)
     assert whole == []
-    whole = extended_div(Interval(-1.0, 1.0), Interval(0.0, 0.0))
-    assert len(whole) == 1 and math.isinf(whole[0].lo)
-    plain = extended_div(Interval(1.0, 2.0), Interval(1.0, 2.0))
-    assert len(plain) == 1 and plain[0].contains(1.0) and plain[0].contains(2.0)
-    split = extended_div(Interval(1.0, 2.0), Interval(-1.0, 1.0))
+    whole = extended_div(-1.0, 1.0, 0.0, 0.0)
+    assert len(whole) == 1 and math.isinf(whole[0][0])
+    plain = extended_div(1.0, 2.0, 1.0, 2.0)
+    assert len(plain) == 1 and contains(plain[0], 1.0) and contains(plain[0], 2.0)
+    split = extended_div(1.0, 2.0, -1.0, 1.0)
     assert len(split) == 2
 
 
@@ -73,15 +77,15 @@ def test_extended_division_enclosure(a, b, c, d, t1, t2):
     if pd == 0:
         return
     q = pn / pd
-    pieces = extended_div(num, den)
-    assert any(p.contains(q) for p in pieces)
+    pieces = extended_div(num.lo, num.hi, den.lo, den.hi)
+    assert any(contains(p, q) for p in pieces)
 
 
 def test_narrow_by_div():
     # x * y = target with y = [2, 4], target = [8, 8] -> x in [2, 4]
-    got = narrow_by_div(Interval(-10.0, 10.0), Interval(8.0, 8.0), Interval(2.0, 4.0))
-    assert got.lo <= 2.0 <= 4.0 <= got.hi
-    assert narrow_by_div(Interval(5.0, 6.0), Interval(8.0, 8.0), Interval(2.0, 4.0)) is None
+    got = narrow_by_div(-10.0, 10.0, 8.0, 8.0, 2.0, 4.0)
+    assert got[0] <= 2.0 <= 4.0 <= got[1]
+    assert narrow_by_div(5.0, 6.0, 8.0, 8.0, 2.0, 4.0) is None
 
 
 def test_bisect_basic():

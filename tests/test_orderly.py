@@ -259,6 +259,22 @@ def test_ticket_partition(depth):
     assert len(set(merged)) == len(merged)
 
 
+def test_ticket_outside_enumeration_rejected():
+    path_021 = Graph.from_edges(3, [(0, 2), (1, 2)])  # P3, not canonical
+    edge_12 = Graph.from_edges(3, [(1, 2)])  # disconnected
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for prefix, filters, reason in (
+        (path_021, Filters(), "not canonical"),
+        (edge_12, Filters(), "disconnected"),
+        (c4, Filters(), "4-cycle"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            list(enumerate_graphs(5, filters, SubtreeTicket(prefix)))
+    # the same prefixes are fine where no filter excludes them
+    assert list(enumerate_graphs(4, Filters(True, False), SubtreeTicket(canonical_label(edge_12))))
+    assert list(enumerate_graphs(4, Filters(False, True), SubtreeTicket(canonical_label(c4))))
+
+
 def test_ticket_id_roundtrip():
     for t in list_tickets(5):
         assert SubtreeTicket.from_id(t.ticket_id).prefix == t.prefix

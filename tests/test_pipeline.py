@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from kssearch.catalog import CatalogRecord, compact, read_records
+from kssearch.constraints import MIN_DELTA
 from kssearch.graphs import Graph, graph6_encode
 from kssearch.pipeline import JobSpec, evaluate_graph, report_counts, run_search
 from kssearch.verify import verify_known
@@ -28,6 +29,16 @@ def test_jobspec_validation():
         JobSpec(n_min=1, n_max=3, out_dir="x", delta=2.0).validate()
     spec = JobSpec(n_min=1, n_max=3, out_dir="x")
     assert JobSpec.from_json(spec.to_json()) == spec
+
+
+def test_jobspec_delta_floor(tmp_path):
+    # a delta the constraint system rejects is refused before any file is written
+    with pytest.raises(ValueError):
+        JobSpec(n_min=1, n_max=3, out_dir="x", delta=1e-8).validate()
+    with pytest.raises(ValueError):
+        run_search(spec_for(tmp_path / "job", 3, delta=1e-8))
+    assert not (tmp_path / "job").exists()
+    JobSpec(n_min=1, n_max=3, out_dir="x", delta=MIN_DELTA).validate()
 
 
 def test_record_consistency_enforced():
@@ -213,6 +224,17 @@ def test_cli_enumerate_and_usage():
     assert r.returncode == 1
     r = cli("enumerate", "--n", "4", "--filters", "nonsense")
     assert r.returncode == 1
+
+
+def test_cli_enumerate_rejects_unreachable_ticket():
+    # 3:5 is the path 0-2-1, not canonical: an error, not an empty subtree
+    r = cli("enumerate", "--n", "5", "--ticket", "3:5")
+    assert r.returncode == 1 and r.stdout == ""
+    assert "ticket 3:5: prefix is not canonical" in r.stderr
+    r = cli("enumerate", "--n", "3", "--ticket", "3:5")
+    assert r.returncode == 1 and r.stdout == ""
+    r = cli("enumerate", "--n", "5", "--ticket", "3:6")
+    assert r.returncode == 0 and len(r.stdout.splitlines()) == 4
 
 
 def test_cli_colour_and_exports():
