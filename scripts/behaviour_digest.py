@@ -11,6 +11,9 @@ and after:
   graph) for every connected square-free graph with n <= 7 at budget 3,000;
 - the verdict lines of the two n = 10 classes without a grid embedding,
   I{d@?gI@w at budget 10^6 and I{O_ogI@W at budget 1,000;
+- the sha256 of the residual boxes of each of those verdicts that is
+  inconclusive (I{O_ogI@W), in verdict order, one line per box with every
+  endpoint as ``float.hex``: this pins the frontier's pop and drain order;
 - the sha256 of ``contract_explain`` on a fixed, seeded set of sub-boxes:
   random paths of bisections and sweeps from the initial box of every
   graph with n <= 6, C4 and the two n = 10 classes, at delta 1e-4 and 0.3,
@@ -35,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kssearch.constraints import build_constraint_system, contract_explain
-from kssearch.embedding import decide_embeddability, refine_certificate, verdict_to_json
+from kssearch.embedding import Inconclusive, decide_embeddability, refine_certificate, verdict_to_json
 from kssearch.graphs import Graph, encode_upper_triangle, graph6_decode
 from kssearch.intervals import WidthUnderflow, bisect
 from kssearch.orderly import enumerate_graphs
@@ -45,10 +48,6 @@ N10_INPUTS = (("I{d@?gI@w", 10**6), ("I{O_ogI@W", 1_000))
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 PATHS_PER_SYSTEM = 12
 PATH_STEPS = 30
-
-
-def _verdict_line(g, budget: int) -> str:
-    return verdict_to_json(decide_embeddability(g, budget=budget), budget=budget)
 
 
 def _box_hex(box) -> str:
@@ -121,7 +120,11 @@ def main() -> int:
         "certificates_n_le_7_sha256": hashlib.sha256("\n".join(certificates).encode()).hexdigest(),
     }
     for g6, budget in N10_INPUTS:
-        out[g6] = json.loads(_verdict_line(graph6_decode(g6), budget))
+        v = decide_embeddability(graph6_decode(g6), budget=budget)
+        out[g6] = json.loads(verdict_to_json(v, budget=budget))
+        if isinstance(v, Inconclusive):
+            residual = "\n".join(_box_hex(b) for b in v.residual_boxes)
+            out[f"{g6}_residual_boxes_sha256"] = hashlib.sha256(residual.encode()).hexdigest()
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 

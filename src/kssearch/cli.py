@@ -21,7 +21,9 @@ from .graphs import (
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import export_dimacs_101, solve_101, witness_to_json
 from .grids import get_grid, grid_embed
+from .constraints import DEFAULT_DELTA
 from .embedding import (
+    DEFAULT_BUDGET,
     Inconclusive,
     checkpoint_from_json,
     checkpoint_to_json,
@@ -31,6 +33,7 @@ from .embedding import (
 from .polynomial import export_polynomial
 from .pipeline import (
     DEFAULT_GRID_LADDER,
+    DEFAULT_INTERVAL_BUDGET,
     JobSpec,
     read_records,
     report_counts,
@@ -107,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("embed-interval", help="interval branch-and-prune verdicts")
     pi.add_argument("--in", dest="input", default="-")
-    pi.add_argument("--budget", type=int, default=100_000)
-    pi.add_argument("--delta", type=float, default=1e-4)
+    pi.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pi.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     pi.add_argument("--resume", default=None,
                     help="checkpoint file to resume from: each input needs a line "
                          "of its graph made at the same --delta")
@@ -121,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--filters", default="square-free,connected")
     pp.add_argument("--grid-n", default=",".join(str(g) for g in DEFAULT_GRID_LADDER),
                     help="comma-separated grid ladder")
-    pp.add_argument("--budget", type=int, default=20_000)
-    pp.add_argument("--delta", type=float, default=1e-4)
+    pp.add_argument("--budget", type=int, default=DEFAULT_INTERVAL_BUDGET)
+    pp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     pp.add_argument("--tickets-depth", type=int, default=7)
     pp.add_argument("--workers", type=int, default=1)
     pp.add_argument("--resume", action="store_true",

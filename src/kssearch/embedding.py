@@ -16,11 +16,9 @@ certified here, only refuted or left inconclusive.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +36,14 @@ from .constraints import (
 from .intervals import Interval, IntervalBox, WidthUnderflow, bisect, midpoint, mul, _dn, _up
 
 CHECKPOINT_VERSION = 1
+DEFAULT_BUDGET = 100_000
+# a box narrower than this in every variable gets a Newton attempt
+NEWTON_MAX_WIDTH = 0.6
+# at most this many contraction sweeps per popped box; a sweep that shrinks
+# the box's width sum by less than 2% ends them earlier
+SWEEPS_PER_BOX = 20
+# Krawczyk iterations, in prove_root_in_box and in refine_certificate
+KRAWCZYK_ITERATIONS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +315,6 @@ def prove_root_in_box(
     box: IntervalBox,
     cs: ConstraintSystem,
     slices: tuple[tuple[int, float], ...] | str = "auto",
-    max_iter: int = 10,
 ) -> NewtonResult:
     """Krawczyk containment test on the (sliced) square equation system.
 
@@ -332,7 +337,7 @@ def prove_root_in_box(
 
     lo = [iv.lo for iv in box.ivs]
     hi = [iv.hi for iv in box.ivs]
-    for it in range(1, max_iter + 1):
+    for it in range(1, KRAWCZYK_ITERATIONS + 1):
         image = _krawczyk_image(cs, eqs, lo, hi, slices)
         if isinstance(image, str):
             return NewtonResult(None, image)
@@ -349,7 +354,7 @@ def prove_root_in_box(
         if not any(b - a < (h - l) * 0.9 for a, b, l, h in zip(cut_lo, cut_hi, lo, hi)):
             return NewtonResult(None, "Krawczyk not contracting")
         lo, hi = cut_lo, cut_hi
-    return NewtonResult(None, f"no containment within {max_iter} iterations")
+    return NewtonResult(None, f"no containment within {KRAWCZYK_ITERATIONS} iterations")
 
 
 def check_distinctness(cs: ConstraintSystem, box: IntervalBox) -> bool:
@@ -370,7 +375,7 @@ def check_distinctness(cs: ConstraintSystem, box: IntervalBox) -> bool:
     return True
 
 
-def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem, steps: int = 10):
+def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem):
     """Iterate the Krawczyk operator from the certified box.
 
     Returns the final enclosure; every iterate must stay inside the
@@ -380,7 +385,7 @@ def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem, steps: i
     outer_lo = [iv.lo for iv in cert.box.ivs]
     outer_hi = [iv.hi for iv in cert.box.ivs]
     lo, hi = outer_lo, outer_hi
-    for _ in range(steps):
+    for _ in range(KRAWCZYK_ITERATIONS):
         image = _krawczyk_image(cs, eqs, lo, hi, cert.slices)
         if isinstance(image, str):
             return None
@@ -411,86 +416,16 @@ def _polish(cs: ConstraintSystem, eqs, start: np.ndarray, iters: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# Box queue with disk spill
-
-class BoxQueue:
-    """Best-first (largest volume) box queue; overflow spills to a temp file."""
-
-    def __init__(self, max_in_memory: int = 200_000):
-        self.heap: list[tuple[float, int, IntervalBox]] = []
-        self.counter = 0
-        self.max_in_memory = max_in_memory
-        self.spill_path: str | None = None
-        self.spilled = 0
-
-    def push(self, box: IntervalBox) -> None:
-        heapq.heappush(self.heap, (-box.log_volume(), self.counter, box))
-        self.counter += 1
-        if len(self.heap) > self.max_in_memory:
-            self._spill()
-
-    def _spill(self) -> None:
-        # move the smallest-volume half out of memory
-        keep = self.max_in_memory // 2
-        items = sorted(self.heap)
-        self.heap = items[:keep]
-        heapq.heapify(self.heap)
-        if self.spill_path is None:
-            fd, self.spill_path = tempfile.mkstemp(prefix="kssearch-boxes-")
-            os.close(fd)
-        with open(self.spill_path, "ab") as fh:
-            for _, _, box in items[keep:]:
-                pickle.dump(box.to_lists(), fh)
-                self.spilled += 1
-
-    def pop(self) -> IntervalBox | None:
-        if not self.heap and self.spilled:
-            self._reload()
-        if not self.heap:
-            return None
-        _, _, box = heapq.heappop(self.heap)
-        return box
-
-    def _reload(self) -> None:
-        boxes = []
-        with open(self.spill_path, "rb") as fh:
-            while True:
-                try:
-                    boxes.append(IntervalBox.from_lists(pickle.load(fh)))
-                except EOFError:
-                    break
-        os.unlink(self.spill_path)
-        self.spill_path = None
-        self.spilled = 0
-        for b in boxes:
-            self.push(b)
-
-    def __len__(self):
-        return len(self.heap) + self.spilled
-
-    def drain(self) -> list[IntervalBox]:
-        out = []
-        while True:
-            b = self.pop()
-            if b is None:
-                return out
-            out.append(b)
-
-
-# ---------------------------------------------------------------------------
 # Main decision loop
 
 def decide_embeddability(
     g: Graph,
-    budget: int = 100_000,
+    budget: int = DEFAULT_BUDGET,
     delta: float = DEFAULT_DELTA,
     *,
     verify_refutations: bool = False,
     on_refuted=None,
     resume_boxes=None,
-    newton_width: float = 0.6,
-    max_sweeps_per_box: int = 20,
-    max_in_memory: int = 200_000,
 ) -> Verdict:
     """Branch-and-prune verdict on embeddability as a vector system.
 
@@ -500,7 +435,13 @@ def decide_embeddability(
     certified box.  Budget exhaustion yields Inconclusive with residual
     boxes, serializable for resume.  Budget is counted in contraction steps
     (sweeps), so verdicts are machine-independent.
+
+    The frontier is an in-memory heap, largest volume first (ties in push
+    order).  It grows by at most one box per contraction step, so a run from
+    the initial box never holds more than budget + 1 boxes.
     """
+    if budget < 1:
+        raise ValueError(f"interval budget must be at least 1, not {budget}")
     stats = dict(
         contraction_steps=0,
         boxes_processed=0,
@@ -524,31 +465,30 @@ def decide_embeddability(
         return ProvedEmbeddable(empty, KrawczykCertificate(empty, empty, (), 0), mkstats())
 
     eqs = _equations(cs)
-    queue = BoxQueue(max_in_memory=max_in_memory)
-    if resume_boxes:
-        for b in resume_boxes:
-            queue.push(b)
-    else:
-        queue.push(cs.initial_box())
+    frontier: list[tuple[float, int, IntervalBox]] = []
+    pushes = itertools.count()
+
+    def push(b: IntervalBox) -> None:
+        heapq.heappush(frontier, (-b.log_volume(), next(pushes), b))
+
+    for b in resume_boxes or (cs.initial_box(),):
+        push(b)
     residuals: list[IntervalBox] = []
 
-    while stats["contraction_steps"] < budget:
-        box = queue.pop()
-        if box is None:
-            break
+    while stats["contraction_steps"] < budget and frontier:
+        _, _, box = heapq.heappop(frontier)
         stats["boxes_processed"] += 1
-        stats["peak_queue"] = max(stats["peak_queue"], len(queue) + 1)
+        stats["peak_queue"] = max(stats["peak_queue"], len(frontier) + 1)
 
         # contract to (near) fixpoint
         popped = box
-        refuted = False
-        for _ in range(max_sweeps_per_box):
+        width = sum(iv.width for iv in box.ivs)
+        for _ in range(SWEEPS_PER_BOX):
             if stats["contraction_steps"] >= budget:
                 break
             stats["contraction_steps"] += 1
-            before = sum(iv.width for iv in box.ivs)
-            nxt, refutation = contract_explain(box, cs)
-            if nxt is None:
+            box, refutation = contract_explain(box, cs)
+            if box is None:
                 if verify_refutations and not recheck_refutation_exact(cs, refutation):
                     raise AssertionError(
                         f"exact shadow check failed for {refutation.kind}"
@@ -556,16 +496,14 @@ def decide_embeddability(
                 if on_refuted is not None:
                     on_refuted(popped)
                 stats["boxes_refuted"] += 1
-                refuted = True
                 break
-            box = nxt
-            after = sum(iv.width for iv in box.ivs)
-            if after > before * 0.98:
+            before, width = width, sum(iv.width for iv in box.ivs)
+            if width > before * 0.98:
                 break
-        if refuted:
+        if box is None:
             continue
 
-        if box.max_width < newton_width:
+        if box.max_width < NEWTON_MAX_WIDTH:
             stats["newton_attempts"] += 1
             polished = _polish(cs, eqs, np.array(box.midpoint()))
             if np.max(np.abs(_float_residuals(cs, eqs, polished))) < 1e-9:
@@ -583,10 +521,11 @@ def decide_embeddability(
             residuals.append(box)
             continue
         stats["bisections"] += 1
-        queue.push(left)
-        queue.push(right)
+        push(left)
+        push(right)
 
-    leftovers = tuple(residuals) + tuple(queue.drain())
+    # the push counter makes every key distinct, so sorting never compares boxes
+    leftovers = tuple(residuals) + tuple(b for _, _, b in sorted(frontier))
     if not leftovers:
         return ProvedUnembeddable(delta, mkstats())
     reason = (

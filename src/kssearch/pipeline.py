@@ -25,11 +25,12 @@ from .graphs import (
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import is_k_colourable, solve_101, validate_101
 from .grids import get_grid, grid_embed, validate_grid_embedding
-from .constraints import MIN_DELTA
+from .constraints import DEFAULT_DELTA, MIN_DELTA
 from .embedding import decide_embeddability
 from .catalog import CatalogRecord, compact, read_records
 
 DEFAULT_GRID_LADDER = (1, 2, 3, 4, 5, 8)
+DEFAULT_INTERVAL_BUDGET = 20_000
 
 
 @dataclass
@@ -40,8 +41,8 @@ class JobSpec:
     square_free: bool = True
     connected: bool = True
     grid_ladder: tuple[int, ...] = DEFAULT_GRID_LADDER
-    interval_budget: int = 20_000
-    delta: float = 1e-4
+    interval_budget: int = DEFAULT_INTERVAL_BUDGET
+    delta: float = DEFAULT_DELTA
     ticket_depth: int = 7
     workers: int = 1
 
@@ -54,6 +55,8 @@ class JobSpec:
             raise ValueError("workers must be positive")
         if any(not 1 <= g <= 32 for g in self.grid_ladder):
             raise ValueError("grid ladder entries must lie in 1..32")
+        if self.interval_budget < 1:
+            raise ValueError("interval budget must be at least 1")
         if not MIN_DELTA <= self.delta < 1:
             raise ValueError(f"delta must lie in [{MIN_DELTA}, 1)")
 
@@ -74,8 +77,8 @@ class JobSpec:
 def evaluate_graph(
     g: Graph,
     grid_ladder=DEFAULT_GRID_LADDER,
-    interval_budget: int = 20_000,
-    delta: float = 1e-4,
+    interval_budget: int = DEFAULT_INTERVAL_BUDGET,
+    delta: float = DEFAULT_DELTA,
 ) -> CatalogRecord:
     """All catalog flags for one graph; embedding stages run only for
     101-uncolourable survivors (the KS candidates)."""

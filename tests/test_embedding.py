@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kssearch.graphs import Graph
+from kssearch.graphs import Graph, graph6_decode
 from kssearch.constraints import (
     ConstraintSystem,
     NoEdgesError,
@@ -16,7 +16,7 @@ from kssearch.constraints import (
     contract_explain,
     recheck_refutation_exact,
 )
-from kssearch.intervals import Interval, IntervalBox
+from kssearch.intervals import Interval, IntervalBox, WidthUnderflow, bisect
 from kssearch.embedding import (
     Inconclusive,
     ProvedEmbeddable,
@@ -196,7 +196,7 @@ def test_certificate_survives_further_refinement():
     box = IntervalBox(tuple(Interval(v - 1e-3, v + 1e-3) for v in pt))
     res = prove_root_in_box(box, cs, "auto")
     # ten further operator iterations stay inside the certified box
-    final = refine_certificate(res.certificate, cs, steps=10)
+    final = refine_certificate(res.certificate, cs)
     assert final is not None
     # and re-running the containment test on the outer box re-certifies
     again = prove_root_in_box(res.certificate.box, cs, res.certificate.slices)
@@ -249,6 +249,31 @@ def test_budget_exhaustion_and_resume():
     assert delta == 1e-4
     v2 = decide_embeddability(C4, budget=10**6, resume_boxes=boxes)
     assert isinstance(v2, ProvedUnembeddable)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            decide_embeddability(C4, budget=budget)
+
+
+def _splittable(box):
+    try:
+        bisect(box)
+    except WidthUnderflow:
+        return False
+    return True
+
+
+def test_frontier_order_and_size():
+    # an n = 10 class the budget leaves open, with hundreds of queued boxes
+    budget = 1_000
+    v = decide_embeddability(graph6_decode("I{O_ogI@W"), budget=budget)
+    assert isinstance(v, Inconclusive) and v.reason == "budget exhausted"
+    assert v.stats.peak_queue <= budget + 1
+    boxes = list(v.residual_boxes)
+    while boxes and not _splittable(boxes[0]):
+        boxes.pop(0)  # unsplittable boxes come first, in the order they were met
+    volumes = [b.log_volume() for b in boxes]
+    assert len(volumes) > 100 and len(set(volumes)) > 1
+    assert all(a >= b for a, b in zip(volumes, volumes[1:])), "frontier not largest-volume-first"
 
 
 def test_checkpoint_version_guard():

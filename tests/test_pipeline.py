@@ -27,6 +27,10 @@ def test_jobspec_validation():
         JobSpec(n_min=1, n_max=3, out_dir="x", workers=0).validate()
     with pytest.raises(ValueError):
         JobSpec(n_min=1, n_max=3, out_dir="x", delta=2.0).validate()
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            JobSpec(n_min=1, n_max=3, out_dir="x", interval_budget=budget).validate()
+    JobSpec(n_min=1, n_max=3, out_dir="x", interval_budget=1).validate()
     spec = JobSpec(n_min=1, n_max=3, out_dir="x")
     assert JobSpec.from_json(spec.to_json()) == spec
 
@@ -267,6 +271,9 @@ def test_cli_embed_interval_exit_codes(tmp_path):
     assert r.returncode == 3  # budget-exhausted-inconclusive
     r = cli("embed-interval", "--budget", "100000", "--resume", ckpt, input=c4 + "\n")
     assert r.returncode == 0 and json.loads(r.stdout)["verdict"] == "unembeddable"
+    for budget in ("0", "-5"):
+        r = cli("embed-interval", "--budget", budget, input=c4 + "\n")
+        assert r.returncode == 1 and r.stdout == "" and "budget" in r.stderr
 
 
 def test_cli_embed_interval_resume_rejects_foreign_checkpoint(tmp_path):
