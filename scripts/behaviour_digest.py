@@ -21,9 +21,14 @@ and after:
   kind, detail and snapshot when the sweep refutes);
 - the sha256 of the Krawczyk certificates (outer box, refined box, slices,
   iterations, and the enclosure ``refine_certificate`` reaches from it)
-  behind every ProvedEmbeddable verdict with n <= 7.
+  behind every ProvedEmbeddable verdict with n <= 7;
+- the sha256 of ``canonical_code`` of the greedy critical subsystem of the
+  N = 2 grid for scan seeds None and 0..5 (31 to 41 vertices), one code per
+  line: this pins ``canonical_label``.
 
-Runs in under a minute on one core:
+Runs in about a minute on one core (the placement search that the cell
+search in ``canonical_label`` replaced needed about 60 s more, mostly for
+the 41- and 39-vertex subsystems of seeds 3 and 5):
 
     python3 scripts/behaviour_digest.py
 """
@@ -40,14 +45,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from kssearch.constraints import build_constraint_system, contract_explain
 from kssearch.embedding import Inconclusive, decide_embeddability, refine_certificate, verdict_to_json
 from kssearch.graphs import Graph, encode_upper_triangle, graph6_decode
+from kssearch.grids import get_grid, minimize_uncolourable
 from kssearch.intervals import WidthUnderflow, bisect
-from kssearch.orderly import enumerate_graphs
+from kssearch.orderly import canonical_code, enumerate_graphs
 from kssearch.pipeline import JobSpec, run_search
 
 N10_INPUTS = (("I{d@?gI@w", 10**6), ("I{O_ogI@W", 1_000))
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 PATHS_PER_SYSTEM = 12
 PATH_STEPS = 30
+N2_SCANS = (None, 0, 1, 2, 3, 4, 5)
 
 
 def _box_hex(box) -> str:
@@ -97,6 +104,19 @@ def _certificate_lines(verdicts) -> list[str]:
     return lines
 
 
+def _n2_scan_codes() -> list[str]:
+    """canonical_code of the N = 2 grid's greedy minimisation per scan seed,
+    each scan order shuffled as enumerate_grid_subsystems shuffles it."""
+    grid = get_grid(2)
+    codes = []
+    for seed in N2_SCANS:
+        order = list(range(len(grid.directions)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        codes.append(canonical_code(minimize_uncolourable(grid, order).graph))
+    return codes
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         run_search(JobSpec(n_min=1, n_max=10, out_dir=tmp))
@@ -108,6 +128,7 @@ def main() -> int:
     small = [verdict_to_json(v, budget=3_000) for _, v in verdicts]
     sweeps = _sweep_lines()
     certificates = _certificate_lines(verdicts)
+    n2_codes = _n2_scan_codes()
     out = {
         "catalog_1_10_sha256": hashlib.sha256(catalog).hexdigest(),
         "enumerate_11": len(codes),
@@ -118,6 +139,7 @@ def main() -> int:
         "contract_explain_sha256": hashlib.sha256("\n".join(sweeps).encode()).hexdigest(),
         "certificates_n_le_7": len(certificates),
         "certificates_n_le_7_sha256": hashlib.sha256("\n".join(certificates).encode()).hexdigest(),
+        "canonical_codes_n2_scans": hashlib.sha256("\n".join(n2_codes).encode()).hexdigest(),
     }
     for g6, budget in N10_INPUTS:
         v = decide_embeddability(graph6_decode(g6), budget=budget)

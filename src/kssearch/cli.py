@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 budget-exhausted (some interval verdict inconclusive).
+3 budget-exhausted (some interval verdict inconclusive).  ``pipeline`` exits
+with 2 when any ticket failed (``tickets_failed`` in the summary is not
+empty); the summary is written all the same, and ``--resume`` runs the
+failed tickets again.
 """
 
 from __future__ import annotations
@@ -271,7 +274,7 @@ def _dispatch(args) -> int:
             return EXIT_USAGE
         summary = run_search(spec)
         sys.stderr.write(json.dumps(summary, indent=1) + "\n")
-        return EXIT_OK
+        return EXIT_VERIFICATION if summary["tickets_failed"] else EXIT_OK
 
     if cmd == "verify-known":
         report = verify_known(args.name, args.out)

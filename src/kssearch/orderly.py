@@ -32,12 +32,14 @@ from .graphs import (
     is_square_free,
 )
 
+# canonical_label's budget, counted in nodes of its cell search: one node per
+# ordered partition visited, however many vertices its last cell placed
 DEFAULT_NODE_LIMIT = 5_000_000
 ORACLE_MAX_N = 7
 
 
 class CanonicalBudgetExceeded(RuntimeError):
-    """Canonical-labelling branch-and-bound hit its node limit."""
+    """The canonical-labelling cell search hit its node limit."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +168,27 @@ def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
     Two graphs are isomorphic iff their canonical labels have equal codes.
     Raises :class:`CanonicalBudgetExceeded` when the search tree outgrows
     ``node_limit`` nodes.
+
+    Branch-and-bound over ordered partitions.  The placed vertices form
+    cells, each on a contiguous range of positions with its inner order left
+    open.  An unplaced vertex's value is its best-case column: in each cell,
+    in position order, its neighbours there come first.  Placing a vertex x
+    splits every cell into its neighbours of x and the rest, in that order,
+    and appends the cell {x}: x's column becomes its best case and no earlier
+    column changes.  Only the candidates of greatest value are branched on,
+    as in a plain placement search.  Below the root a group of them goes in
+    as one cell when, once any member is placed, the other members are the
+    only candidates of greatest value, so that a plain search would place the
+    whole group next, in every order:
+
+    - all of them, when they are pairwise non-adjacent and each meets every
+      cell of two or more vertices in the same set;
+    - otherwise, each connected component of the graph they induce that is a
+      clique of two or more vertices meeting those cells alike.
+
+    The columns such a cell adds are checked against the best code one by
+    one, as single placements are.  Every cell of a leaf holds twins, so
+    reading its members out in ascending order gives the leaf's code.
     """
     n = g.n
     if n == 1:
@@ -178,55 +201,171 @@ def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
     spread = _spread_rows(n, rows, width)
     best_cols = [-1] * n
     best_cols[0] = 0
-    best_perm: list[int] | None = None
-    perm = [0] * n
+    best_cells: tuple[tuple[int, int], ...] = ()
     nodes = 0
 
-    def rec(depth: int, used: int, frontier: int, packed: int) -> None:
-        nonlocal nodes, best_perm
+    def reach(cell: int) -> int:
+        """The union of the neighbourhoods of the cell's members."""
+        out = 0
+        while cell:
+            b = cell & -cell
+            cell ^= b
+            out |= rows[b.bit_length() - 1]
+        return out
+
+    def branches(ties: int, multi: int) -> list[tuple[int, int, bool]]:
+        """The tied candidates as ``(cell, size, clique)``, one per branch."""
+        ws = [w for w in range(n) if ties >> w & 1]
+        if all(not rows[w] & ties for w in ws) and len({rows[w] & multi for w in ws}) == 1:
+            return [(ties, len(ws), False)]
+        out = []
+        left = ties
+        while left:
+            comp = grow = left & -left
+            while grow:
+                b = grow & -grow
+                grow ^= b
+                new = rows[b.bit_length() - 1] & ties & ~comp
+                comp |= new
+                grow |= new
+            left &= ~comp
+            members = [w for w in ws if comp >> w & 1]
+            sig = rows[members[0]] & multi
+            if len(members) > 1 and all(
+                (rows[w] | 1 << w) & comp == comp and rows[w] & multi == sig for w in members
+            ):
+                out.append((comp, len(members), True))
+            else:
+                out.extend((1 << w, 1, False) for w in members)
+        out.sort(key=lambda branch: branch[0] & -branch[0])
+        return out
+
+    def place(depth, unplaced, packed, cells, multi, cell, size, around):
+        """``(packed, cells, multi)`` once ``cell`` is placed at ``depth``.
+
+        ``multi`` is the union of the cells of two or more vertices and
+        ``around`` the cell's neighbourhood.  Each such cell is split by the
+        neighbourhood of the new cell's members, which meet it alike; the
+        value of an unplaced vertex that sees a split cell is corrected in
+        place.  Then every value gains the new cell's ``size`` bits.
+        """
+        nbrs = rows[(cell & -cell).bit_length() - 1]
+        if multi & nbrs and multi & ~nbrs:
+            out = []
+            multi = pos = 0
+            for c, s in cells:
+                c1 = c & nbrs
+                if s == 1 or not c1 or c1 == c:
+                    out.append((c, s))
+                    if s > 1:
+                        multi |= c
+                    pos += s
+                    continue
+                c2 = c ^ c1
+                s1 = c1.bit_count()
+                s2 = s - s1
+                shift = depth - pos - s
+                see = reach(c) & unplaced
+                while see:
+                    b = see & -see
+                    see ^= b
+                    z = b.bit_length() - 1
+                    j1 = (rows[z] & c1).bit_count()
+                    j2 = (rows[z] & c2).bit_count()
+                    if j1 < s1 and j2:
+                        j = j1 + j2
+                        old = ((1 << j) - 1) << (s - j)
+                        new = ((1 << j1) - 1) << (s - j1) | ((1 << j2) - 1) << (s2 - j2)
+                        packed += (new - old) << (z * width + shift)
+                out += ((c1, s1), (c2, s2))
+                if s1 > 1:
+                    multi |= c1
+                if s2 > 1:
+                    multi |= c2
+                pos += s
+            cells = tuple(out)
+        if size == 1:
+            packed = packed << 1 | spread[cell.bit_length() - 1]
+        else:
+            multi |= cell
+            packed <<= size
+            see = around & unplaced
+            while see:
+                b = see & -see
+                see ^= b
+                z = b.bit_length() - 1
+                j = (rows[z] & cell).bit_count()
+                packed |= ((1 << j) - 1) << (size - j + z * width)
+        return packed, cells + ((cell, size),), multi
+
+    def rec(depth: int, used: int, frontier: int, packed: int, cells, multi: int) -> None:
+        nonlocal nodes, best_cells
         nodes += 1
         if nodes > node_limit:
             raise CanonicalBudgetExceeded(
                 f"canonical_label exceeded {node_limit} nodes on n={n}"
             )
         if depth == n:
-            best_perm = perm.copy()
+            best_cells = cells
             return
-        cand = (frontier if (restrict and depth) else full) & ~used
-        cands = []
-        m = cand
+        top = -1
+        ties = 0
+        m = (frontier if (restrict and depth) else full) & ~used
         while m:
             b = m & -m
             m ^= b
-            w = b.bit_length() - 1
-            cands.append((-(packed >> w * width & fmask), w))
-        cands.sort()
-        for negcv, w in cands:
-            cv = -negcv
-            t = best_cols[depth]
-            if t >= 0 and cv < t:
-                break
-            if cv > t:
-                best_cols[depth] = cv
-                for d in range(depth + 1, n):
-                    best_cols[d] = -1
-            perm[depth] = w
-            rec(depth + 1, used | 1 << w, frontier | rows[w], packed << 1 | spread[w])
+            cv = packed >> (b.bit_length() - 1) * width & fmask
+            if cv > top:
+                top, ties = cv, b
+            elif cv == top:
+                ties |= b
+        t = best_cols[depth]
+        if top < t:
+            return
+        if top > t:
+            best_cols[depth] = top
+            for d in range(depth + 1, n):
+                best_cols[d] = -1
+        if depth and ties & (ties - 1):
+            options = branches(ties, multi)
+        else:
+            options = [(1 << w, 1, False) for w in range(n) if ties >> w & 1]
+        for cell, size, clique in options:
+            # the block's later columns, checked in turn like single placements
+            for i in range(1, size):
+                cv = top << i | ((1 << i) - 1 if clique else 0)
+                t = best_cols[depth + i]
+                if cv < t:
+                    break
+                if cv > t:
+                    best_cols[depth + i] = cv
+                    for d in range(depth + i + 1, n):
+                        best_cols[d] = -1
+            else:
+                around = reach(cell)
+                placed = used | cell
+                packed2, cells2, multi2 = place(
+                    depth, full & ~placed, packed, cells, multi, cell, size, around
+                )
+                rec(depth + size, placed, frontier | around, packed2, cells2, multi2)
 
-    rec(0, 0, 0, 0)
-    assert best_perm is not None
+    rec(0, 0, 0, 0, (), 0)
+    perm = [w for c, _ in best_cells for w in range(n) if c >> w & 1]
     new_rows = [0] * n
     for i in range(n):
-        ri = rows[best_perm[i]]
+        ri = rows[perm[i]]
         r = 0
         for j in range(n):
-            if ri >> best_perm[j] & 1:
+            if ri >> perm[j] & 1:
                 r |= 1 << j
         new_rows[i] = r
     return Graph(n, tuple(new_rows))
 
 
 def canonical_code(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> str:
+    """The upper-triangle code of :func:`canonical_label`: a complete
+    isomorphism invariant, equal for two graphs exactly when they are
+    isomorphic."""
     return encode_upper_triangle(canonical_label(g, node_limit))
 
 

@@ -147,6 +147,9 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     """Execute (or resume) a job; returns the summary dict.
 
     ``max_tickets`` stops after that many tickets (used to exercise resume).
+    A ticket that raises is listed in ``tickets_failed`` as
+    ``n=…, ticket=…: <Type>: <message>``; the other tickets run, the summary
+    is written with ``complete`` false, and a resume runs it again.
     """
     spec.validate()
     os.makedirs(spec.out_dir, exist_ok=True)
@@ -191,6 +194,11 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
             fh.write(key + "\n")
         processed += 1
 
+    def note_failed(task, e: Exception) -> None:
+        # the ticket aborts with its shard unwritten and stays out of the
+        # log, so a resume runs it again
+        failed.append(f"n={task[1]}, ticket={task[2] or 'root'}: {type(e).__name__}: {e}")
+
     if spec.workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             futures = {pool.submit(_process_ticket, t): t for t in tasks}
@@ -198,16 +206,15 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
                 try:
                     key, _shard, _count = fut.result()
                     note_done(key)
-                except OSError as e:
-                    # the affected ticket aborts; its shard stays unwritten
-                    failed.append(f"n={task[1]} ticket={task[2] or 'root'}: {e}")
+                except Exception as e:  # a broken pool fails each ticket left
+                    note_failed(task, e)
     else:
         for task in tasks:
             try:
                 key, _shard, _count = _process_ticket(task)
                 note_done(key)
-            except OSError as e:
-                failed.append(f"n={task[1]} ticket={task[2] or 'root'}: {e}")
+            except Exception as e:
+                note_failed(task, e)
 
     # merge shards into the canonical catalog
     shards = sorted(

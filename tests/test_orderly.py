@@ -1,4 +1,5 @@
-"""Canonicity, orderly enumeration, tickets and the brute-force oracle."""
+"""Canonicity, canonical labelling, orderly enumeration, tickets and the
+brute-force oracle."""
 
 import functools
 import itertools
@@ -7,13 +8,16 @@ import random
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from kssearch.graphs import Graph, encode_upper_triangle, graph_from_code, is_connected
+from kssearch.grids import get_grid, minimize_uncolourable
 from kssearch.orderly import (
+    DEFAULT_NODE_LIMIT,
     CanonicalBudgetExceeded,
     Filters,
     SubtreeTicket,
+    _spread_rows,
     brute_force_classes,
     canonical_code,
     canonical_label,
@@ -180,6 +184,153 @@ def test_canonical_label_budget():
     g = random_graph(random.Random(1), 9, 0.5)
     with pytest.raises(CanonicalBudgetExceeded):
         canonical_label(g, node_limit=3)
+
+
+# ---------------------------------------------------------------------------
+# canonical_label's cell search against the placement search it replaced
+
+def _reference_canonical_label(g, node_limit=DEFAULT_NODE_LIMIT):
+    """The earlier canonical_label: branch-and-bound over single placements.
+
+    Every tied candidate is placed alone, so ties multiply the tree; kept
+    only as the oracle for the cell search.
+    """
+    n = g.n
+    if n == 1:
+        return g
+    rows = g.rows
+    restrict = is_connected(g)
+    full = (1 << n) - 1
+    width = n
+    fmask = (1 << width) - 1
+    spread = _spread_rows(n, rows, width)
+    best_cols = [-1] * n
+    best_cols[0] = 0
+    best_perm = None
+    perm = [0] * n
+    nodes = 0
+
+    def rec(depth, used, frontier, packed):
+        nonlocal nodes, best_perm
+        nodes += 1
+        if nodes > node_limit:
+            raise CanonicalBudgetExceeded(
+                f"canonical_label exceeded {node_limit} nodes on n={n}"
+            )
+        if depth == n:
+            best_perm = perm.copy()
+            return
+        cand = (frontier if (restrict and depth) else full) & ~used
+        cands = []
+        m = cand
+        while m:
+            b = m & -m
+            m ^= b
+            w = b.bit_length() - 1
+            cands.append((-(packed >> w * width & fmask), w))
+        cands.sort()
+        for negcv, w in cands:
+            cv = -negcv
+            t = best_cols[depth]
+            if t >= 0 and cv < t:
+                break
+            if cv > t:
+                best_cols[depth] = cv
+                for d in range(depth + 1, n):
+                    best_cols[d] = -1
+            perm[depth] = w
+            rec(depth + 1, used | 1 << w, frontier | rows[w], packed << 1 | spread[w])
+
+    rec(0, 0, 0, 0)
+    assert best_perm is not None
+    new_rows = [0] * n
+    for i in range(n):
+        ri = rows[best_perm[i]]
+        r = 0
+        for j in range(n):
+            if ri >> best_perm[j] & 1:
+                r |= 1 << j
+        new_rows[i] = r
+    return Graph(n, tuple(new_rows))
+
+
+def assert_same_label(g):
+    assert encode_upper_triangle(canonical_label(g)) == encode_upper_triangle(
+        _reference_canonical_label(g)
+    ), g
+
+
+def shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_label_matches_reference_on_every_labelled_graph(n):
+    for g in labelled_graphs(n):
+        assert_same_label(g)
+
+
+@st.composite
+def mixed_density_graphs(draw):
+    n = draw(st.integers(7, 12))
+    p = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, c in zip(pairs, coins) if c < p])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_density_graphs())
+def test_canonical_label_matches_reference_on_drawn_graphs(g):
+    try:
+        expected = _reference_canonical_label(g, node_limit=20_000)
+    except CanonicalBudgetExceeded:
+        assume(False)
+    assert encode_upper_triangle(canonical_label(g)) == encode_upper_triangle(expected)
+
+
+def blow_up(base, sizes, cliques):
+    """Each vertex v of base becomes a clique or an independent set of
+    sizes[v] vertices; modules of adjacent vertices are joined completely."""
+    start = list(itertools.accumulate(sizes, initial=0))
+    edges = []
+    for v in range(base.n):
+        if cliques[v]:
+            edges += itertools.combinations(range(start[v], start[v + 1]), 2)
+    for u, v in base.edges():
+        edges += itertools.product(range(start[u], start[u + 1]), range(start[v], start[v + 1]))
+    return Graph.from_edges(start[-1], edges)
+
+
+def test_canonical_label_matches_reference_on_blow_ups():
+    rng = random.Random(2026)
+    for _ in range(150):
+        k = rng.randint(2, 5)
+        base = random_graph(rng, k, p=rng.choice([0.3, 0.6]))
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        cliques = [rng.random() < 0.5 for _ in range(k)]
+        assert_same_label(shuffled(blow_up(base, sizes, cliques), rng))
+
+
+def test_canonical_label_matches_reference_on_grid_subgraphs():
+    grid = get_grid(2).graph
+    rng = random.Random(7)
+    for _ in range(80):
+        keep = sorted(rng.sample(range(grid.n), rng.randint(8, 16)))
+        assert_same_label(shuffled(grid.induced(keep), rng))
+
+
+@pytest.mark.parametrize("scan", [None, 0, 1])
+def test_canonical_label_matches_reference_on_bench_candidates(scan):
+    """The critical subsystems the candidates benchmark deduplicates: 31 and
+    33 vertices, with long ties that are not automorphisms."""
+    grid = get_grid(2)
+    order = list(range(len(grid.directions)))
+    if scan is not None:
+        random.Random(scan).shuffle(order)
+    assert_same_label(minimize_uncolourable(grid, order).graph)
 
 
 def test_extend_from_k1():

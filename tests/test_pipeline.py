@@ -10,6 +10,7 @@ import pytest
 from kssearch.catalog import CatalogRecord, compact, read_records
 from kssearch.constraints import MIN_DELTA
 from kssearch.graphs import Graph, graph6_encode
+from kssearch.orderly import CanonicalBudgetExceeded
 from kssearch.pipeline import JobSpec, evaluate_graph, report_counts, run_search
 from kssearch.verify import verify_known
 
@@ -181,23 +182,41 @@ def test_run_search_with_worker_pool(tmp_path):
     assert c1 == c2
 
 
+FAILURES = {
+    2: OSError("disk went away"),
+    4: AssertionError("witness re-validation failed"),
+    6: CanonicalBudgetExceeded("canonical_label exceeded 3 nodes on n=5"),
+}
+
+
+def failing_on_calls(real, failures):
+    """_process_ticket raising failures[k] on its k-th call."""
+    calls = {"n": 0}
+
+    def flaky(args):
+        calls["n"] += 1
+        if calls["n"] in failures:
+            raise failures[calls["n"]]
+        return real(args)
+
+    return flaky
+
+
 def test_ticket_failure_isolated(tmp_path, monkeypatch):
     import kssearch.pipeline as pl
 
     spec = spec_for(tmp_path / "j", 5, ticket_depth=3)
     real = pl._process_ticket
-    calls = {"n": 0}
-
-    def flaky(args):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise OSError("disk went away")
-        return real(args)
-
-    monkeypatch.setattr(pl, "_process_ticket", flaky)
+    monkeypatch.setattr(pl, "_process_ticket", failing_on_calls(real, FAILURES))
     summary = pl.run_search(spec)
-    assert len(summary["tickets_failed"]) == 1
+    failed = summary["tickets_failed"]
+    assert [f.split(": ", 1)[1] for f in failed] == [
+        f"{type(e).__name__}: {e}" for e in FAILURES.values()
+    ]
+    assert all(f.startswith("n=") and ", ticket=" in f for f in failed)
     assert not summary["complete"]
+    assert summary["tickets_processed"] == 7 - len(FAILURES)
+    assert os.path.exists(os.path.join(spec.out_dir, "summary.json"))
     # the failed ticket is retried on resume and the catalog completes
     monkeypatch.setattr(pl, "_process_ticket", real)
     resumed = pl.run_search(spec)
@@ -338,3 +357,20 @@ def test_cli_pipeline_and_report(tmp_path):
     assert r.returncode == 0
     r = cli("report", "--catalog", os.path.join(out, "catalog.jsonl"))
     assert r.returncode == 0 and r.stdout.startswith("n,count")
+
+
+def test_cli_pipeline_exit_code_on_failed_ticket(tmp_path, monkeypatch, capsys):
+    import kssearch.pipeline as pl
+    from kssearch.cli import EXIT_OK, EXIT_VERIFICATION, main
+
+    out = str(tmp_path / "job")
+    real = pl._process_ticket
+    failure = {2: OSError("disk went away")}
+    monkeypatch.setattr(pl, "_process_ticket", failing_on_calls(real, failure))
+    assert main(["pipeline", "--n", "1..4", "--out", out]) == EXIT_VERIFICATION
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["tickets_failed"] == [
+        "n=2, ticket=root: OSError: disk went away"
+    ]
+    monkeypatch.setattr(pl, "_process_ticket", real)
+    assert main(["pipeline", "--n", "1..4", "--out", out, "--resume"]) == EXIT_OK
