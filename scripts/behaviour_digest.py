@@ -58,7 +58,7 @@ N2_SCANS = (None, 0, 1, 2, 3, 4, 5)
 
 
 def _box_hex(box) -> str:
-    return " ".join(f"{iv.lo.hex()},{iv.hi.hex()}" for iv in box)
+    return " ".join(f"{lo.hex()},{hi.hex()}" for lo, hi in zip(box.lo, box.hi))
 
 
 def _sweep_lines() -> list[str]:

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .graphs import Graph, triangles
 from .intervals import (
-    Interval,
     IntervalBox,
     QInterval,
     hull_of_cuts,
@@ -65,21 +64,13 @@ class ConstraintSystem:
         return 3 * len(self.free)
 
     @property
-    def num_equations(self) -> int:
-        return len(self.norm_slots) + len(self.coord_zero) + len(self.dot_pairs)
-
-    @property
     def sep_bound(self) -> float:
         """Outward-rounded sqrt(1 - delta^2); |u.v| above it violates separation."""
         return _up(math.sqrt(1.0 - self.delta * self.delta))
 
     def initial_box(self) -> IntervalBox:
-        ivs = []
-        for _ in self.free:
-            ivs.extend(
-                (Interval(-1.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, 1.0))
-            )
-        return IntervalBox(tuple(ivs))
+        k = len(self.free)
+        return IntervalBox((-1.0, -1.0, 0.0) * k, (1.0, 1.0, 1.0) * k)
 
 
 def build_constraint_system(g: Graph, delta: float = DEFAULT_DELTA) -> ConstraintSystem:
@@ -156,7 +147,7 @@ class Refutation:
 
     kind: str
     detail: tuple
-    snapshot: tuple
+    snapshot: IntervalBox
 
 
 class EmptyBox(Exception):
@@ -186,25 +177,25 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
     """The sweep on float endpoints; raises :class:`EmptyBox`.
 
-    The box lives in two float lists, ``lo`` and ``hi``; an ``Interval`` is
-    built only for the result or a refutation's snapshot.  Each step performs
-    the float operations of the ``Interval`` arithmetic, in the same order:
-    a sum of products starts from 0.0 as ``ZERO + p0 + p1 + p2`` did,
-    products and squares go through :func:`mul` and :func:`sqr`, and
-    intersections keep ``max``/``min``'s argument order, so signed zeros come
-    out the same.  The outward rounding of sums is ``nextafter`` written out.
-    It equals the guarded ``_dn``/``_up`` except at an infinity, which sums
-    over the solver's boxes (endpoints in [-1, 1]) never reach; the
-    divisions, which can overflow, round inside :func:`narrow_by_div`.
+    The box's endpoints are copied into two lists, ``lo`` and ``hi``, and
+    narrowed in place.  Each step performs the float operations of the
+    ``Interval`` arithmetic, in the same order: a sum of products starts from
+    0.0 as ``ZERO + p0 + p1 + p2`` did, products and squares go through
+    :func:`mul` and :func:`sqr`, and intersections keep ``max``/``min``'s
+    argument order, so signed zeros come out the same.  The outward rounding
+    of sums is ``nextafter`` written out.  It equals the guarded
+    ``_dn``/``_up`` except at an infinity, which sums over the solver's boxes
+    (endpoints in [-1, 1]) never reach; the divisions, which can overflow,
+    round inside :func:`narrow_by_div`.
     """
-    lo = [iv.lo for iv in box.ivs]
-    hi = [iv.hi for iv in box.ivs]
+    lo = list(box.lo)
+    hi = list(box.hi)
     nx = math.nextafter
     inf = math.inf
     ninf = -inf
 
     def fail(kind: str, detail: tuple) -> None:
-        raise EmptyBox(Refutation(kind, detail, tuple(map(Interval, lo, hi))))
+        raise EmptyBox(Refutation(kind, detail, IntervalBox(tuple(lo), tuple(hi))))
 
     def narrow_pairs(pairs, band, kind: str) -> None:
         """Narrow u.v into ``band`` (u.v = 0 when None) for each slot pair,
@@ -286,13 +277,7 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
         lo[i], hi[i] = cut
     narrow_pairs(cs.sep_pairs, band, "separation")
 
-    # an interval whose endpoints are the input's own float objects is kept,
-    # so boxes share what a sweep left alone; the list makes the tuple's size
-    # known up front, so it reuses a freed box tuple
-    return IntervalBox(tuple([
-        iv if iv.lo is a and iv.hi is b else Interval(a, b)
-        for iv, a, b in zip(box.ivs, lo, hi)
-    ]))
+    return IntervalBox(tuple(lo), tuple(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,8 @@ def recheck_refutation_exact(cs: ConstraintSystem, ref: Refutation) -> bool:
     rationals; a True result upgrades the outward-rounded float refutation to
     an exact one.
     """
-    q = [QInterval.from_interval(iv) for iv in ref.snapshot]
+    box = ref.snapshot
+    q = [QInterval(Fraction(a), Fraction(b)) for a, b in zip(box.lo, box.hi)]
 
     def qdot(s: int, t: int) -> QInterval:
         total = QInterval(Fraction(0), Fraction(0))

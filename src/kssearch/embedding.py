@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .constraints import (
     contract_explain,
     recheck_refutation_exact,
 )
-from .intervals import Interval, IntervalBox, WidthUnderflow, bisect, midpoint, mul, _dn, _up
+from .intervals import IntervalBox, WidthUnderflow, bisect, midpoint, mul, sqr, _dn, _up
 
 CHECKPOINT_VERSION = 1
 DEFAULT_BUDGET = 100_000
@@ -325,7 +326,7 @@ def prove_root_in_box(
     eqs = _equations(cs)
     nv = cs.num_vars
     if nv == 0:
-        empty = IntervalBox(())
+        empty = IntervalBox((), ())
         return NewtonResult(KrawczykCertificate(empty, empty, (), 0), "constant system")
     if slices == "auto":
         slices = choose_slices(cs, np.array(box.midpoint()))
@@ -335,20 +336,19 @@ def prove_root_in_box(
     if m < nv:
         return NewtonResult(None, f"under-determined: {m} equations, {nv} variables; slices required")
 
-    lo = [iv.lo for iv in box.ivs]
-    hi = [iv.hi for iv in box.ivs]
+    lo, hi = box.lo, box.hi
     for it in range(1, KRAWCZYK_ITERATIONS + 1):
         image = _krawczyk_image(cs, eqs, lo, hi, slices)
         if isinstance(image, str):
             return NewtonResult(None, image)
         klo, khi = image
         # the image's endpoints cut with the box's, as Interval.intersect does
-        cut_lo = [max(a, b) for a, b in zip(klo, lo)]
-        cut_hi = [min(a, b) for a, b in zip(khi, hi)]
+        cut_lo = tuple(map(max, klo, lo))
+        cut_hi = tuple(map(min, khi, hi))
         if all(a < ka and kb < b for a, b, ka, kb in zip(lo, hi, klo, khi)):
-            refined = IntervalBox(tuple(map(Interval, cut_lo, cut_hi)))
-            cur = IntervalBox(tuple(map(Interval, lo, hi)))
-            return NewtonResult(KrawczykCertificate(cur, refined, tuple(slices), it), "certified")
+            refined = IntervalBox(cut_lo, cut_hi)
+            cert = KrawczykCertificate(IntervalBox(lo, hi), refined, tuple(slices), it)
+            return NewtonResult(cert, "certified")
         if any(not a <= b for a, b in zip(cut_lo, cut_hi)):
             return NewtonResult(None, "Krawczyk image disjoint from box")
         if not any(b - a < (h - l) * 0.9 for a, b, l, h in zip(cut_lo, cut_hi, lo, hi)):
@@ -363,14 +363,18 @@ def check_distinctness(cs: ConstraintSystem, box: IntervalBox) -> bool:
     Adjacent pairs are orthogonal unit vectors at any root, hence distinct;
     non-adjacent pairs need (u.v)^2 < 1 strictly over the box.
     """
+    lo, hi = box.lo, box.hi
     for s, c in cs.sep_coords:
-        if box[3 * s + c].sqr().hi >= 1.0:
+        i = 3 * s + c
+        if sqr(lo[i], hi[i])[1] >= 1.0:
             return False
     for s, t in cs.sep_pairs:
-        acc = Interval(0.0, 0.0)
+        al = ah = 0.0
         for c in range(3):
-            acc = acc + box[3 * s + c] * box[3 * t + c]
-        if acc.sqr().hi >= 1.0:
+            i, j = 3 * s + c, 3 * t + c
+            pl, ph = mul(lo[i], hi[i], lo[j], hi[j])
+            al, ah = _dn(al + pl), _up(ah + ph)
+        if sqr(al, ah)[1] >= 1.0:
             return False
     return True
 
@@ -382,20 +386,18 @@ def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem):
     certificate's outer box (None on the impossible escape/disjoint case).
     """
     eqs = _equations(cs)
-    outer_lo = [iv.lo for iv in cert.box.ivs]
-    outer_hi = [iv.hi for iv in cert.box.ivs]
-    lo, hi = outer_lo, outer_hi
+    outer_lo, outer_hi = lo, hi = cert.box.lo, cert.box.hi
     for _ in range(KRAWCZYK_ITERATIONS):
         image = _krawczyk_image(cs, eqs, lo, hi, cert.slices)
         if isinstance(image, str):
             return None
-        cut_lo = [max(a, b) for a, b in zip(image[0], lo)]
-        cut_hi = [min(a, b) for a, b in zip(image[1], hi)]
+        cut_lo = tuple(map(max, image[0], lo))
+        cut_hi = tuple(map(min, image[1], hi))
         for a, b, ol, oh in zip(cut_lo, cut_hi, outer_lo, outer_hi):
             if not a <= b or not (ol <= a and b <= oh):
                 return None
         lo, hi = cut_lo, cut_hi
-    return IntervalBox(tuple(map(Interval, lo, hi)))
+    return IntervalBox(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +438,10 @@ def decide_embeddability(
     boxes, serializable for resume.  Budget is counted in contraction steps
     (sweeps), so verdicts are machine-independent.
 
+    ``resume_boxes`` replace the initial box; each must have ``cs.num_vars``
+    intervals inside the initial box (ValueError otherwise).  The verdict
+    covers only the boxes given, so a resume is only as sound as its boxes.
+
     The frontier is an in-memory heap, largest volume first (ties in push
     order).  It grows by at most one box per contraction step, so a run from
     the initial box never holds more than budget + 1 boxes.
@@ -459,9 +465,15 @@ def decide_embeddability(
     except NoEdgesError:
         return ProvedEmbeddable(None, None, mkstats())
 
+    init = cs.initial_box()
+    for k, b in enumerate(resume_boxes or ()):
+        inside = zip(init.lo, b.lo, b.hi, init.hi)
+        if len(b) != cs.num_vars or not all(il <= a <= c <= ih for il, a, c, ih in inside):
+            raise ValueError(f"resume box {k} is not {cs.num_vars} intervals in the initial box")
+
     if cs.num_vars == 0:
         # pinned triple satisfies everything exactly
-        empty = IntervalBox(())
+        empty = IntervalBox((), ())
         return ProvedEmbeddable(empty, KrawczykCertificate(empty, empty, (), 0), mkstats())
 
     eqs = _equations(cs)
@@ -471,7 +483,7 @@ def decide_embeddability(
     def push(b: IntervalBox) -> None:
         heapq.heappush(frontier, (-b.log_volume(), next(pushes), b))
 
-    for b in resume_boxes or (cs.initial_box(),):
+    for b in resume_boxes or (init,):
         push(b)
     residuals: list[IntervalBox] = []
 
@@ -482,7 +494,7 @@ def decide_embeddability(
 
         # contract to (near) fixpoint
         popped = box
-        width = sum(iv.width for iv in box.ivs)
+        width = sum(map(sub, box.hi, box.lo))
         for _ in range(SWEEPS_PER_BOX):
             if stats["contraction_steps"] >= budget:
                 break
@@ -497,7 +509,7 @@ def decide_embeddability(
                     on_refuted(popped)
                 stats["boxes_refuted"] += 1
                 break
-            before, width = width, sum(iv.width for iv in box.ivs)
+            before, width = width, sum(map(sub, box.hi, box.lo))
             if width > before * 0.98:
                 break
         if box is None:
@@ -508,9 +520,7 @@ def decide_embeddability(
             polished = _polish(cs, eqs, np.array(box.midpoint()))
             if np.max(np.abs(_float_residuals(cs, eqs, polished))) < 1e-9:
                 for eps in (1e-7, 1e-5, 1e-3):
-                    seed = IntervalBox(
-                        tuple(Interval(v - eps, v + eps) for v in polished)
-                    )
+                    seed = IntervalBox(tuple(polished - eps), tuple(polished + eps))
                     res = prove_root_in_box(seed, cs, "auto")
                     if res and check_distinctness(cs, res.certificate.refined):
                         return ProvedEmbeddable(res.certificate.refined, res.certificate, mkstats())

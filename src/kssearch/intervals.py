@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 _INF = math.inf
 
@@ -70,22 +71,14 @@ class Interval:
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return midpoint(self.lo, self.hi)
-
 
 # ---------------------------------------------------------------------------
 # Float-endpoint helpers: an interval is a (lo, hi) pair of floats
 #
-# The hot loops (the contractor sweep, the Krawczyk image) work on these, not
-# on Interval objects.  ``min`` and ``max`` are written out: ``b if b < a
-# else a`` is ``min(a, b)``, ties and signed zeros included, and costs a
-# fraction of the builtin call.
+# The solver works on these, not on Interval objects; a box is a tuple of
+# lower and a tuple of upper endpoints.  ``min`` and ``max`` are written out:
+# ``b if b < a else a`` is ``min(a, b)``, ties and signed zeros included, and
+# costs a fraction of the builtin call.
 
 def midpoint(lo: float, hi: float) -> float:
     """Midpoint of [lo, hi], clamped into it (halves first on overflow)."""
@@ -189,10 +182,6 @@ class QInterval:
     lo: Fraction
     hi: Fraction
 
-    @staticmethod
-    def from_interval(x: Interval) -> "QInterval":
-        return QInterval(Fraction(x.lo), Fraction(x.hi))
-
     def __add__(self, o):
         return QInterval(self.lo + o.lo, self.hi + o.hi)
 
@@ -223,60 +212,66 @@ class WidthUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class IntervalBox:
-    """One closed interval per variable, outward-rounded endpoints."""
+    """One closed interval [lo[i], hi[i]] per variable, outward-rounded endpoints."""
 
-    ivs: tuple[Interval, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
     def __len__(self):
-        return len(self.ivs)
-
-    def __getitem__(self, i: int) -> Interval:
-        return self.ivs[i]
-
-    def replace(self, i: int, iv: Interval) -> "IntervalBox":
-        return IntervalBox(self.ivs[:i] + (iv,) + self.ivs[i + 1 :])
+        return len(self.lo)
 
     @property
     def max_width(self) -> float:
-        return max((iv.width for iv in self.ivs), default=0.0)
+        return max(map(sub, self.hi, self.lo), default=0.0)
 
     def log_volume(self) -> float:
         """Sum of log2 widths (thin dimensions clamped); orders boxes by volume."""
         total = 0.0
-        for iv in self.ivs:
-            total += math.log2(max(iv.width, 1e-300))
+        for w in map(sub, self.hi, self.lo):
+            total += math.log2(max(w, 1e-300))
         return total
 
     def midpoint(self) -> list[float]:
-        return [iv.mid for iv in self.ivs]
+        return list(map(midpoint, self.lo, self.hi))
 
     def contains_point(self, pt) -> bool:
-        return all(iv.contains(v) for iv, v in zip(self.ivs, pt))
+        return all(a <= v <= b for a, b, v in zip(self.lo, self.hi, pt))
 
     def to_lists(self) -> list[list[float]]:
-        return [[iv.lo, iv.hi] for iv in self.ivs]
+        return [[a, b] for a, b in zip(self.lo, self.hi)]
 
     @staticmethod
     def from_lists(data) -> "IntervalBox":
-        return IntervalBox(tuple(Interval(lo, hi) for lo, hi in data))
+        """The box of ``[[lo, hi], ...]``; ValueError unless each pair is two
+        numbers.  Ordering and containment are the solver's checks."""
+        lo, hi = [], []
+        for pair in data:
+            try:
+                a, b = map(float, pair)
+            except (TypeError, ValueError):
+                raise ValueError(f"box interval {pair!r} is not two numbers") from None
+            lo.append(a)
+            hi.append(b)
+        return IntervalBox(tuple(lo), tuple(hi))
 
 
 def bisect(box: IntervalBox) -> tuple[IntervalBox, IntervalBox]:
     """Split the widest dimension at its midpoint (ties: lowest index).
 
-    The two children cover the parent exactly.  Raises
+    The two children cover the parent exactly; the left child shares the
+    parent's ``lo`` tuple and the right child its ``hi``.  Raises
     :class:`WidthUnderflow` when no dimension can be split.
     """
-    widest = -1
-    wmax = 0.0
-    for i, iv in enumerate(box.ivs):
-        if iv.width > wmax:
-            wmax = iv.width
-            widest = i
-    if widest < 0:
+    lo, hi = box.lo, box.hi
+    widths = list(map(sub, hi, lo))
+    wmax = max(widths, default=0.0)
+    if not wmax > 0.0:
         raise WidthUnderflow("box has zero width in every dimension")
-    iv = box.ivs[widest]
-    m = iv.mid
-    if m <= iv.lo or m >= iv.hi:
-        raise WidthUnderflow(f"dimension {widest} cannot be split at {m!r}")
-    return box.replace(widest, Interval(iv.lo, m)), box.replace(widest, Interval(m, iv.hi))
+    i = widths.index(wmax)
+    m = midpoint(lo[i], hi[i])
+    if m <= lo[i] or m >= hi[i]:
+        raise WidthUnderflow(f"dimension {i} cannot be split at {m!r}")
+    return (
+        IntervalBox(lo, hi[:i] + (m,) + hi[i + 1 :]),
+        IntervalBox(lo[:i] + (m,) + lo[i + 1 :], hi),
+    )

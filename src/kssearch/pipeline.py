@@ -1,9 +1,11 @@
 """Search orchestration: enumerate, filter, colour, embed, persist, report.
 
 A job walks target sizes n, splitting each enumeration into subtree tickets;
-every ticket's results land in its own shard and the ticket is logged done
-only after the shard is fully written, so a killed job resumes exactly where
-it stopped.  Shards merge into the canonical catalog at the end.
+every ticket's results land in its own shard, synced to disk before it is
+renamed into place, and the ticket is logged done after that.  A ticket
+counts as done only when it is logged and its shard exists, so a killed job
+resumes exactly where it stopped.  Shards merge into the canonical catalog
+at the end.
 """
 
 from __future__ import annotations
@@ -139,6 +141,8 @@ def _process_ticket(args) -> tuple[str, str, int]:
     with open(tmp, "w") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, shard_path)
     return _ticket_key(n, ticket), shard_path, len(records)
 
@@ -177,9 +181,10 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
         tickets: list[SubtreeTicket | None] = deep if n > spec.ticket_depth else [None]
         for t in tickets:
             key = _ticket_key(n, t)
-            if key in done:
-                continue
             shard = os.path.join(shard_dir, key.replace("/", "_").replace(":", "-") + ".jsonl")
+            # a crash can keep the log line but lose the shard's rename
+            if key in done and os.path.exists(shard):
+                continue
             tasks.append((spec.to_json(), n, t.ticket_id if t else "", shard))
 
     if max_tickets is not None:

@@ -16,7 +16,7 @@ from kssearch.constraints import (
     contract_explain,
     recheck_refutation_exact,
 )
-from kssearch.intervals import Interval, IntervalBox, WidthUnderflow, bisect
+from kssearch.intervals import IntervalBox, WidthUnderflow, bisect
 from kssearch.embedding import (
     Inconclusive,
     ProvedEmbeddable,
@@ -34,6 +34,11 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def around(pt, eps):
+    """The box of radius eps around pt."""
+    return IntervalBox(tuple(v - eps for v in pt), tuple(v + eps for v in pt))
 
 
 def chain_with_triangle(n):
@@ -65,7 +70,8 @@ def test_contract_excludes_far_dot():
     # edge into a pinned axis forces that coordinate to zero
     p3 = Graph.from_edges(3, [(0, 1), (0, 2)])
     cs = build_constraint_system(p3)
-    box = cs.initial_box().replace(0, Interval(0.9, 1.0))
+    init = cs.initial_box()
+    box = IntervalBox((0.9,) + init.lo[1:], (1.0,) + init.hi[1:])
     out, ref = contract_explain(box, cs)
     assert out is None and ref.kind == "coord-zero"
 
@@ -84,9 +90,9 @@ def test_contract_norm_narrowing():
         graph=g, delta=1e-4, pinned=(), free=(0,), norm_slots=(0,),
         coord_zero=(), dot_pairs=(), sep_pairs=(), sep_coords=(),
     )
-    box = IntervalBox((Interval(0.8, 0.9), Interval(0.0, 0.0), Interval(0.0, 1.0)))
+    box = IntervalBox((0.8, 0.0, 0.0), (0.9, 0.0, 1.0))
     out, _ = contract_explain(box, cs)
-    assert 0.43 <= out[2].lo and out[2].hi <= 0.61
+    assert 0.43 <= out.lo[2] and out.hi[2] <= 0.61
 
 
 def test_contract_children_stay_inside_parent():
@@ -99,8 +105,8 @@ def test_contract_children_stay_inside_parent():
         res, _ = contract_explain(child, cs)
         if res is not None:
             for i in range(len(res)):
-                assert res[i].lo >= child[i].lo - 1e-12
-                assert res[i].hi <= child[i].hi + 1e-12
+                assert res.lo[i] >= child.lo[i] - 1e-12
+                assert res.hi[i] <= child.hi[i] + 1e-12
 
 
 # Each point is within 1e-16 of an exact embedding such as (3, 0, 4)/5, and
@@ -125,17 +131,20 @@ def sub_boxes(draw):
     cs = build_constraint_system(g, draw(st.sampled_from([1e-4, 0.5])))
     if point is not None and not draw(st.booleans()):
         point = None
-    ivs = []
-    for k, iv in enumerate(cs.initial_box().ivs):
+    init = cs.initial_box()
+    los, his = [], []
+    for k, (lo, hi) in enumerate(zip(init.lo, init.hi)):
         if point is not None:
             p = point[k]
-            lo = draw(st.floats(iv.lo, max(iv.lo, p - 1e-6)))
-            iv = Interval(lo, draw(st.floats(min(iv.hi, p + 1e-6), iv.hi)))
+            lo, hi = (
+                draw(st.floats(lo, max(lo, p - 1e-6))),
+                draw(st.floats(min(hi, p + 1e-6), hi)),
+            )
         elif not draw(st.booleans()):
-            a, b = sorted(draw(st.floats(iv.lo, iv.hi)) for _ in range(2))
-            iv = Interval(a, b)
-        ivs.append(iv)
-    return cs, IntervalBox(tuple(ivs)), point
+            lo, hi = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+        los.append(lo)
+        his.append(hi)
+    return cs, IntervalBox(tuple(los), tuple(his)), point
 
 
 @settings(max_examples=400, deadline=None)
@@ -150,9 +159,9 @@ def test_contract_explain_sound_on_random_sub_boxes(case):
         assert recheck_refutation_exact(cs, ref), ref
     else:
         assert ref is None
-        assert all(box[i].lo <= out[i].lo and out[i].hi <= box[i].hi for i in range(len(box)))
+        assert all(box.lo[i] <= out.lo[i] and out.hi[i] <= box.hi[i] for i in range(len(box)))
         if planted is not None:
-            assert all(out[i].lo - 1e-9 <= p <= out[i].hi + 1e-9 for i, p in enumerate(planted))
+            assert all(out.lo[i] - 1e-9 <= p <= out.hi[i] + 1e-9 for i, p in enumerate(planted))
 
 
 def test_c4_refutation_with_exact_shadow():
@@ -181,7 +190,7 @@ def test_k13_certificate_from_seed_box():
     cs = build_constraint_system(K13)
     s2 = 1 / math.sqrt(2)
     pt = [0.0, 0.0, 1.0, 0.0, s2, s2]
-    box = IntervalBox(tuple(Interval(v - 1e-3, v + 1e-3) for v in pt))
+    box = around(pt, 1e-3)
     res = prove_root_in_box(box, cs, "auto")
     assert res.certificate is not None
     assert check_distinctness(cs, res.certificate.box)
@@ -193,7 +202,7 @@ def test_certificate_survives_further_refinement():
     cs = build_constraint_system(K13)
     s2 = 1 / math.sqrt(2)
     pt = [0.0, 0.0, 1.0, 0.0, s2, s2]
-    box = IntervalBox(tuple(Interval(v - 1e-3, v + 1e-3) for v in pt))
+    box = around(pt, 1e-3)
     res = prove_root_in_box(box, cs, "auto")
     # ten further operator iterations stay inside the certified box
     final = refine_certificate(res.certificate, cs)
@@ -207,7 +216,7 @@ def test_no_certificate_for_empty_region():
     # a box violating an edge equation can never be certified
     cs = build_constraint_system(K13)
     pt = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
-    box = IntervalBox(tuple(Interval(v - 1e-4, v + 1e-4) for v in pt))
+    box = around(pt, 1e-4)
     res = prove_root_in_box(box, cs, "auto")
     assert res.certificate is None
 
@@ -252,6 +261,25 @@ def test_budget_exhaustion_and_resume():
     for budget in (0, -5):
         with pytest.raises(ValueError):
             decide_embeddability(C4, budget=budget)
+
+
+def test_resume_boxes_must_lie_in_the_initial_box():
+    # P4 is embeddable: a box outside the cover would be refuted, and the
+    # verdict would wrongly read unembeddable
+    init = build_constraint_system(P4).initial_box()
+    # built the way a checkpoint's boxes are read
+    bad = [
+        IntervalBox.from_lists(init.to_lists()[:3]),
+        IntervalBox.from_lists([[5, 6]] * 6),
+        IntervalBox.from_lists([[math.nan, math.nan]] * 6),
+        IntervalBox.from_lists([[0.0, math.nan]] + init.to_lists()[1:]),
+        IntervalBox.from_lists([[0.5, 0.25]] + init.to_lists()[1:]),
+    ]
+    for box in bad:
+        with pytest.raises(ValueError, match="resume box 1 "):
+            decide_embeddability(P4, budget=10, resume_boxes=[init, box])
+    v = decide_embeddability(P4, budget=10**4, resume_boxes=list(bisect(init)))
+    assert isinstance(v, ProvedEmbeddable)
 
 
 def _splittable(box):

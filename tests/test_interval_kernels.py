@@ -1,11 +1,12 @@
 """The float-endpoint interval kernels against an Interval-object oracle.
 
-``contract_explain``'s sweep and the Krawczyk image work on plain float
-endpoints.  The functions below named ``ref_*`` are the earlier
-implementation on ``Interval`` objects, kept only as the oracle: the
-kernels must reproduce them bit for bit (``float.hex``), refutation kind,
-detail and snapshot included, on random sub-boxes of the constraint
-systems' initial boxes.
+``contract_explain``'s sweep, the Krawczyk image and the distinctness test
+work on plain float endpoints.  The functions below named ``ref_*`` are the
+earlier implementation on ``Interval`` objects, kept only as the oracle: it
+turns each box into ``Interval`` objects itself, and the kernels must
+reproduce it bit for bit (``float.hex``), refutation kind, detail and
+snapshot included, on random sub-boxes of the constraint systems' initial
+boxes.
 """
 
 import math
@@ -20,7 +21,13 @@ from kssearch.constraints import (
     build_constraint_system,
     contract_explain,
 )
-from kssearch.embedding import _equations, _krawczyk_image, _polish, choose_slices
+from kssearch.embedding import (
+    _equations,
+    _krawczyk_image,
+    _polish,
+    check_distinctness,
+    choose_slices,
+)
 from kssearch.graphs import Graph, graph6_decode
 from kssearch.intervals import (
     Interval,
@@ -53,6 +60,14 @@ def _dn(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF) if math.isfinite(x) else x
+
+
+def to_ivs(box: IntervalBox) -> list:
+    return [Interval(a, b) for a, b in zip(box.lo, box.hi)]
+
+
+def to_box(ivs) -> IntervalBox:
+    return IntervalBox(tuple(iv.lo for iv in ivs), tuple(iv.hi for iv in ivs))
 
 
 def ref_mul(x: Interval, y: Interval) -> Interval:
@@ -130,10 +145,10 @@ def ref_abs_band(domain: Interval, sq_range: Interval):
 
 
 def ref_sweep(box: IntervalBox, cs) -> IntervalBox:
-    ivs = list(box.ivs)
+    ivs = to_ivs(box)
 
     def fail(kind, detail):
-        raise EmptyBox(Refutation(kind, detail, tuple(ivs)))
+        raise EmptyBox(Refutation(kind, detail, to_box(ivs)))
 
     def setiv(i, iv, kind, detail):
         if iv is None:
@@ -181,7 +196,7 @@ def ref_sweep(box: IntervalBox, cs) -> IntervalBox:
         setiv(i, ivs[i].intersect(band), "separation-axis", (s, c))
     narrow_pairs(cs.sep_pairs, band, "separation")
 
-    return IntervalBox(tuple(ivs))
+    return to_box(ivs)
 
 
 def ref_contract_explain(box, cs):
@@ -230,9 +245,10 @@ def ref_interval_jacobian(cs, eqs, box, slices):
     return rows
 
 
-def ref_krawczyk_image(cs, eqs, cur: IntervalBox, slices):
+def ref_krawczyk_image(cs, eqs, box: IntervalBox, slices):
     nv = cs.num_vars
-    mid = cur.midpoint()
+    mid = box.midpoint()
+    cur = to_ivs(box)
     fmid = ref_residuals_at(cs, eqs, mid)
     for coord, val in slices:
         fmid.append(Interval.point(mid[coord]) - Interval.point(val))
@@ -260,6 +276,20 @@ def ref_krawczyk_image(cs, eqs, cur: IntervalBox, slices):
             acc = acc + ref_mul(mij, delta_iv[j])
         newbox.append(acc)
     return newbox
+
+
+def ref_check_distinctness(cs, box: IntervalBox) -> bool:
+    ivs = to_ivs(box)
+    for s, c in cs.sep_coords:
+        if ref_sqr(ivs[3 * s + c]).hi >= 1.0:
+            return False
+    for s, t in cs.sep_pairs:
+        acc = ZERO
+        for c in range(3):
+            acc = acc + ref_mul(ivs[3 * s + c], ivs[3 * t + c])
+        if ref_sqr(acc).hi >= 1.0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +346,8 @@ GRAPHS = (
 )
 
 
-def _hex(box) -> list:
-    return [(iv.lo.hex(), iv.hi.hex()) for iv in box]
+def _hex(box: IntervalBox) -> list:
+    return [(a.hex(), b.hex()) for a, b in zip(box.lo, box.hi)]
 
 
 @st.composite
@@ -370,15 +400,27 @@ def test_krawczyk_image_matches_interval_oracle(case, eps):
         polished = _polish(cs, eqs, np.array(box.midpoint()))
         if not np.all(np.isfinite(polished)):
             return
-        box = IntervalBox(tuple(Interval(v - eps, v + eps) for v in polished))
+        box = IntervalBox(tuple(polished - eps), tuple(polished + eps))
     slices = choose_slices(cs, np.array(box.midpoint()))
     if len(eqs) + len(slices) != cs.num_vars:
         return  # over-determined: prove_root_in_box never builds the image
     want = ref_krawczyk_image(cs, eqs, box, slices)
-    got = _krawczyk_image(
-        cs, eqs, [iv.lo for iv in box.ivs], [iv.hi for iv in box.ivs], slices
-    )
+    got = _krawczyk_image(cs, eqs, box.lo, box.hi, slices)
     if isinstance(want, str):
         assert got == want
     else:
-        assert [(a.hex(), b.hex()) for a, b in zip(*got)] == _hex(want)
+        assert _hex(IntervalBox(*got)) == _hex(to_box(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub_boxes(), st.sampled_from([None, 1e-7, 1e-5, 1e-3, 0.1]))
+def test_check_distinctness_matches_interval_oracle(case, eps):
+    """On the sub-box, or on a box of radius eps around the Gauss-Newton
+    polish of its midpoint, where the solver asks the question."""
+    cs, box = case
+    if eps is not None and cs.num_vars:
+        polished = _polish(cs, _equations(cs), np.array(box.midpoint()))
+        if not np.all(np.isfinite(polished)):
+            return
+        box = IntervalBox(tuple(polished - eps), tuple(polished + eps))
+    assert check_distinctness(cs, box) == ref_check_distinctness(cs, box)

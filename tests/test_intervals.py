@@ -89,46 +89,55 @@ def test_narrow_by_div():
 
 
 def test_bisect_basic():
-    b = IntervalBox((Interval(0.0, 1.0),))
+    b = IntervalBox((0.0,), (1.0,))
     l, r = bisect(b)
-    assert l[0].hi == r[0].lo == 0.5
-    assert l[0].lo == 0.0 and r[0].hi == 1.0
+    assert l.hi[0] == r.lo[0] == 0.5
+    assert l.lo[0] == 0.0 and r.hi[0] == 1.0
+    # each child shares the endpoint tuple the split left alone
+    assert l.lo is b.lo and r.hi is b.hi
 
 
 def test_bisect_tie_rule():
-    b = IntervalBox(
-        (
-            Interval(0.0, 0.5),
-            Interval(0.0, 1.0),
-            Interval(0.0, 0.25),
-            Interval(0.0, 0.25),
-            Interval(0.0, 0.25),
-            Interval(2.0, 3.0),
-        )
-    )
+    b = IntervalBox((0.0, 0.0, 0.0, 0.0, 0.0, 2.0), (0.5, 1.0, 0.25, 0.25, 0.25, 3.0))
     l, r = bisect(b)  # dims 1 and 5 tie at width 1; dim 1 must split
-    assert l[1].hi == r[1].lo and l[5] == b[5]
+    assert l.hi[1] == r.lo[1] and (l.lo[5], l.hi[5]) == (b.lo[5], b.hi[5])
 
 
 def test_bisect_children_cover_parent():
     rng = random.Random(8)
     for _ in range(200):
         dims = rng.randint(1, 6)
-        b = IntervalBox(tuple(iv(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(dims)))
+        b = IntervalBox.from_lists(
+            sorted((rng.uniform(-5, 5), rng.uniform(-5, 5))) for _ in range(dims)
+        )
         if b.max_width == 0:
             continue
         l, r = bisect(b)
         for i in range(dims):
-            assert l[i].lo >= b[i].lo and r[i].hi <= b[i].hi
-            assert l[i].hull(r[i]) == b[i]
+            assert l.lo[i] >= b.lo[i] and r.hi[i] <= b.hi[i]
+            hull = Interval(l.lo[i], l.hi[i]).hull(Interval(r.lo[i], r.hi[i]))
+            assert hull == Interval(b.lo[i], b.hi[i])
 
 
 def test_bisect_width_underflow():
     with pytest.raises(WidthUnderflow):
-        bisect(IntervalBox((Interval(1.0, 1.0),)))
+        bisect(IntervalBox((1.0,), (1.0,)))
     tiny = math.nextafter(1.0, 2.0)
     with pytest.raises(WidthUnderflow):
-        bisect(IntervalBox((Interval(1.0, tiny),)))
+        bisect(IntervalBox((1.0,), (tiny,)))
+
+
+def test_box_from_lists_validates_endpoints():
+    box = IntervalBox.from_lists([[-1, 1], ["0.5", 0.75]])
+    assert box == IntervalBox((-1.0, 0.5), (1.0, 0.75))
+    assert box.to_lists() == [[-1.0, 1.0], [0.5, 0.75]]
+    for bad in ([["a", 1.0]], [[None, 1.0]], [[0.0]], [[0.0, 1.0, 2.0]], [0.5]):
+        with pytest.raises(ValueError, match="not two numbers"):
+            IntervalBox.from_lists(bad)
+    # inverted and NaN pairs convert as they are; decide_embeddability rejects
+    # them (test_resume_boxes_must_lie_in_the_initial_box)
+    box = IntervalBox.from_lists([[1.0, 0.0], [0.0, math.nan]])
+    assert box.lo == (1.0, 0.0) and box.hi[0] == 0.0 and math.isnan(box.hi[1])
 
 
 def random_poly(rng, nvars, nterms):

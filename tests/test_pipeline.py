@@ -1,6 +1,7 @@
 """Job orchestration: catalog persistence, resume, determinism, CLI, reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,13 @@ from kssearch.catalog import CatalogRecord, compact, read_records
 from kssearch.constraints import MIN_DELTA
 from kssearch.graphs import Graph, graph6_encode
 from kssearch.orderly import CanonicalBudgetExceeded
-from kssearch.pipeline import JobSpec, evaluate_graph, report_counts, run_search
+from kssearch.pipeline import (
+    JobSpec,
+    _process_ticket as process_ticket,
+    evaluate_graph,
+    report_counts,
+    run_search,
+)
 from kssearch.verify import verify_known
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -62,6 +69,15 @@ def test_evaluate_graph_flags():
     assert not rec.flags["min_degree_ge3"]
     assert rec.interval is None  # colourable graphs skip the embedding stages
     assert rec.grid["embedded_n"] is None
+    # the wheel W5 (an odd rim) needs four colours
+    w5 = Graph.from_edges(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    rec = evaluate_graph(w5)
+    assert not rec.flags["three_colourable"] and rec.flags["four_colourable"]
+    assert rec.flags["colourable_101"] and rec.interval is None
+    k5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    rec = evaluate_graph(k5, interval_budget=1)
+    assert not rec.flags["three_colourable"] and not rec.flags["four_colourable"]
+    assert not rec.flags["colourable_101"] and rec.interval["verdict"] == "unembeddable"
 
 
 def test_run_search_counts(tmp_path):
@@ -95,6 +111,25 @@ def test_resume_after_interruption(tmp_path):
     open(stale, "w").write('{"junk": true}\n')
     resumed = run_search(part)
     assert resumed["complete"]
+    c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
+    c2 = open(os.path.join(part.out_dir, "catalog.jsonl"), "rb").read()
+    assert c1 == c2
+
+
+def test_resume_reruns_logged_ticket_without_shard(tmp_path):
+    # after a power loss the log line can outlive the shard's rename
+    full = spec_for(tmp_path / "full", 8, ticket_depth=4)
+    run_search(full)
+    part = spec_for(tmp_path / "part", 8, ticket_depth=4)
+    run_search(part)
+    lost = os.path.join(part.out_dir, "shards", "8_4-34.jsonl")
+    with open(os.path.join(part.out_dir, "tickets.log")) as fh:
+        assert "8/4:34\n" in fh.readlines()
+    assert len(read_records(lost)) > 0
+    os.remove(lost)
+    resumed = run_search(part)
+    assert resumed["tickets_processed"] == 1 and resumed["complete"]
+    assert os.path.exists(lost)
     c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(part.out_dir, "catalog.jsonl"), "rb").read()
     assert c1 == c2
@@ -228,6 +263,34 @@ def test_ticket_failure_isolated(tmp_path, monkeypatch):
     assert c1 == c2
 
 
+def dying_on_n5(args):
+    """_process_ticket, except that the worker process dies on n = 5 tickets."""
+    if args[1] == 5:
+        os._exit(1)
+    return process_ticket(args)
+
+
+def test_dead_worker_fails_its_tickets(tmp_path, monkeypatch):
+    import kssearch.pipeline as pl
+
+    spec = spec_for(tmp_path / "j", 5, ticket_depth=3, workers=2)
+    monkeypatch.setattr(pl, "_process_ticket", dying_on_n5)
+    summary = pl.run_search(spec)
+    failed = summary["tickets_failed"]
+    # the broken pool fails the dead tickets, and any others still pending
+    assert sum(f.startswith("n=5, ticket=") for f in failed) == 2
+    assert all(": BrokenProcessPool: " in f for f in failed)
+    assert not summary["complete"]
+    assert summary["tickets_processed"] + len(failed) == 7
+    monkeypatch.setattr(pl, "_process_ticket", process_ticket)
+    assert pl.run_search(spec)["complete"]
+    clean = spec_for(tmp_path / "clean", 5, ticket_depth=3)
+    run_search(clean)
+    c1 = open(os.path.join(spec.out_dir, "catalog.jsonl"), "rb").read()
+    c2 = open(os.path.join(clean.out_dir, "catalog.jsonl"), "rb").read()
+    assert c1 == c2
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -306,6 +369,28 @@ def test_cli_embed_interval_resume_rejects_foreign_checkpoint(tmp_path):
     assert r.returncode == 1 and r.stdout == "" and "checkpoint" in r.stderr
     r = cli("embed-interval", "--delta", "0.01", "--resume", ckpt, input=c4 + "\n")
     assert r.returncode == 1 and r.stdout == "" and "delta" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "boxes,message",
+    [
+        ([[[math.nan, math.nan]] * 6], "resume box 0"),  # was read as unembeddable
+        ([[[5, 6]] * 6], "resume box 0"),  # outside the cover: was unembeddable
+        ([[[-1, 1], [-1, 1], [0, 1]]], "resume box 0"),  # three variables: was an IndexError
+        ([[[0.5, 0.25]] + [[0, 1]] * 5], "resume box 0"),  # an inverted interval
+        ([[["a", 1]] * 6], "not two numbers"),
+    ],
+)
+def test_cli_embed_interval_rejects_bad_checkpoint_boxes(tmp_path, boxes, message):
+    p4 = graph6_encode(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    ckpt = tmp_path / "ckpt.json"
+    r = cli("embed-interval", "--budget", "1", "--checkpoint-out", str(ckpt), input=p4 + "\n")
+    assert r.returncode == 3
+    data = json.loads(ckpt.read_text())
+    data["boxes"] = boxes
+    ckpt.write_text(json.dumps(data) + "\n")
+    r = cli("embed-interval", "--resume", str(ckpt), input=p4 + "\n")
+    assert r.returncode == 1 and r.stdout == "" and message in r.stderr, r.stderr
 
 
 def test_cli_embed_interval_checkpoints_every_inconclusive_input(tmp_path):
