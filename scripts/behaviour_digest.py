@@ -24,7 +24,11 @@ and after:
   behind every ProvedEmbeddable verdict with n <= 7;
 - the sha256 of ``canonical_code`` of the greedy critical subsystem of the
   N = 2 grid for scan seeds None and 0..5 (31 to 41 vertices), one code per
-  line: this pins ``canonical_label``.
+  line: this pins ``canonical_label``;
+- ``grid_sha256``: the sha256 of the ``grid_embed`` mappings of every graph
+  with n <= 7 at N = 1..5, then, for the same scan seeds, the greedy critical
+  subsystem's grid indices and its ``grid_embed`` mappings at N = 2, 4, 6, 8,
+  one line each: this pins the embedding search and ``minimize_uncolourable``.
 
 Runs in about a minute on one core (the placement search that the cell
 search in ``canonical_label`` replaced needed about 60 s more, mostly for
@@ -45,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from kssearch.constraints import build_constraint_system, contract_explain
 from kssearch.embedding import Inconclusive, decide_embeddability, refine_certificate, verdict_to_json
 from kssearch.graphs import Graph, encode_upper_triangle, graph6_decode
-from kssearch.grids import get_grid, minimize_uncolourable
+from kssearch.grids import get_grid, grid_embed, minimize_uncolourable
 from kssearch.intervals import WidthUnderflow, bisect
 from kssearch.orderly import canonical_code, enumerate_graphs
 from kssearch.pipeline import JobSpec, run_search
@@ -104,17 +108,30 @@ def _certificate_lines(verdicts) -> list[str]:
     return lines
 
 
-def _n2_scan_codes() -> list[str]:
-    """canonical_code of the N = 2 grid's greedy minimisation per scan seed,
-    each scan order shuffled as enumerate_grid_subsystems shuffles it."""
+def _n2_scan_subsystems() -> list:
+    """The N = 2 grid's greedy minimisation per scan seed, each scan order
+    shuffled as enumerate_grid_subsystems shuffles it."""
     grid = get_grid(2)
-    codes = []
+    subs = []
     for seed in N2_SCANS:
         order = list(range(len(grid.directions)))
         if seed is not None:
             random.Random(seed).shuffle(order)
-        codes.append(canonical_code(minimize_uncolourable(grid, order).graph))
-    return codes
+        subs.append(minimize_uncolourable(grid, order))
+    return subs
+
+
+def _embedding_line(g: Graph, n: int) -> str:
+    emb = grid_embed(g, n)
+    return f"{n} {None if emb is None else emb.mapping}"
+
+
+def _grid_lines(subs) -> list[str]:
+    lines = [_embedding_line(g, n) for k in range(1, 8) for g in enumerate_graphs(k) for n in range(1, 6)]
+    for sub in subs:
+        lines.append(" ".join(map(str, sub.indices)))
+        lines += [_embedding_line(sub.graph, n) for n in (2, 4, 6, 8)]
+    return lines
 
 
 def main() -> int:
@@ -128,7 +145,9 @@ def main() -> int:
     small = [verdict_to_json(v, budget=3_000) for _, v in verdicts]
     sweeps = _sweep_lines()
     certificates = _certificate_lines(verdicts)
-    n2_codes = _n2_scan_codes()
+    n2_subs = _n2_scan_subsystems()
+    n2_codes = [canonical_code(sub.graph) for sub in n2_subs]
+    grid_lines = _grid_lines(n2_subs)
     out = {
         "catalog_1_10_sha256": hashlib.sha256(catalog).hexdigest(),
         "enumerate_11": len(codes),
@@ -140,6 +159,7 @@ def main() -> int:
         "certificates_n_le_7": len(certificates),
         "certificates_n_le_7_sha256": hashlib.sha256("\n".join(certificates).encode()).hexdigest(),
         "canonical_codes_n2_scans": hashlib.sha256("\n".join(n2_codes).encode()).hexdigest(),
+        "grid_sha256": hashlib.sha256("\n".join(grid_lines).encode()).hexdigest(),
     }
     for g6, budget in N10_INPUTS:
         v = decide_embeddability(graph6_decode(g6), budget=budget)

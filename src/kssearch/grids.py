@@ -90,58 +90,32 @@ _SIGNS = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
 
 
 def _sym_images(v: Vec) -> list[Vec]:
-    out = []
-    for p in _PERMS3:
-        w = (v[p[0]], v[p[1]], v[p[2]])
-        for s in _SIGNS:
-            out.append(normalize_direction((w[0] * s[0], w[1] * s[1], w[2] * s[2])))
-    return out
+    """The 48 images of v, permutation-major (verify picks images by index)."""
+    return [
+        normalize_direction((v[p[0]] * s[0], v[p[1]] * s[1], v[p[2]] * s[2]))
+        for p in _PERMS3
+        for s in _SIGNS
+    ]
 
 
 def _orbit_key(vectors: tuple[Vec, ...]) -> tuple:
     """Canonical representative of an ordered vector tuple under grid symmetry."""
-    best = None
-    for p in _PERMS3:
-        for s in _SIGNS:
-            img = tuple(
-                normalize_direction((v[p[0]] * s[0], v[p[1]] * s[1], v[p[2]] * s[2]))
-                for v in vectors
-            )
-            if best is None or img < best:
-                best = img
-    return best
+    return min(zip(*map(_sym_images, vectors)))
 
 
 @lru_cache(maxsize=None)
-def orthogonal_pair_representatives(sys: GridSystem) -> list[tuple[Vec, Vec]]:
-    """One ordered orthogonal pair per grid-symmetry orbit; axis pair first."""
-    dirs = sys.directions
+def orthogonal_representatives(sys: GridSystem, k: int) -> tuple[tuple[Vec, ...], ...]:
+    """One ordered tuple of k mutually orthogonal directions per grid-symmetry
+    orbit (k = 2 or 3); the axis tuple first."""
     rows = sys.graph.rows
-    reps: dict[tuple, tuple[Vec, Vec]] = {}
-    for i in range(len(dirs)):
-        for j in _bits(rows[i]):
-            pair = (dirs[i], dirs[j])
-            key = _orbit_key(pair)
-            if key not in reps:
-                reps[key] = pair
-    return tuple(_axis_first(sys.N, [reps[k] for k in sorted(reps)]))
-
-
-@lru_cache(maxsize=None)
-def orthogonal_triple_representatives(sys: GridSystem) -> list[tuple[Vec, Vec, Vec]]:
-    """One ordered mutually-orthogonal triple per grid-symmetry orbit; axis triple first."""
-    dirs = sys.directions
-    rows = sys.graph.rows
-    reps: dict[tuple, tuple[Vec, Vec, Vec]] = {}
-    for i in range(len(dirs)):
-        for j in _bits(rows[i]):
-            common = rows[i] & rows[j]
-            for k in _bits(common):
-                trip = (dirs[i], dirs[j], dirs[k])
-                key = _orbit_key(trip)
-                if key not in reps:
-                    reps[key] = trip
-    return tuple(_axis_first(sys.N, [reps[k] for k in sorted(reps)]))
+    level = [((i,), rows[i]) for i in range(len(rows))]
+    for _ in range(k - 1):
+        level = [(t + (j,), common & rows[j]) for t, common in level for j in _bits(common)]
+    reps: dict[tuple, tuple[Vec, ...]] = {}
+    for t, _ in level:
+        vs = tuple(sys.directions[i] for i in t)
+        reps.setdefault(_orbit_key(vs), vs)
+    return tuple(_axis_first(sys.N, [reps[key] for key in sorted(reps)]))
 
 
 def _axis_first(n: int, reps: list) -> list:
@@ -156,9 +130,7 @@ def _axis_first(n: int, reps: list) -> list:
     def is_axis(rep):
         return all(v in axis for v in rep)
 
-    out = []
-    for rep in reps:
-        out.append(axis[: len(rep)] if is_axis(rep) else rep)
+    out = [axis[: len(rep)] if is_axis(rep) else rep for rep in reps]
     return sorted(out, key=lambda r: (not is_axis(r), r))
 
 
@@ -171,9 +143,6 @@ class GridEmbedding:
 
     N: int
     mapping: tuple[Vec, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "map": {str(v): list(d) for v, d in enumerate(self.mapping)}})
 
 
 def validate_grid_embedding(g: Graph, emb: GridEmbedding) -> bool:
@@ -207,43 +176,36 @@ def grid_embed(
     elsewhere.  Symmetry is quotiented by pinning the first triangle (first
     edge for triangle-free graphs) to one representative per grid-symmetry
     orbit, axis images first, which together cover the full search space.
-    Raises :class:`EmbedBudgetExceeded` at the node limit.
+    A pin is a candidate set of one direction, placed by the search like any
+    other vertex, so the node count includes pin placements.  Raises
+    :class:`EmbedBudgetExceeded` when the count passes ``node_limit``.
     """
     if not is_square_free(g):
         return None
     if sys is None:
-        sys = generate_grid(n)
+        sys = get_grid(n)
     elif sys.N != n:
         raise ValueError("grid system parameter mismatch")
     dirs = sys.directions
-    nd = len(dirs)
     orth = sys.graph.rows
     dir_index = {d: i for i, d in enumerate(dirs)}
 
     tris = triangles(g)
-    if tris:
-        pinned = list(tris[0])
-        pin_sets = orthogonal_triple_representatives(sys)
-    elif g.edge_count() > 0:
-        u, v = g.edges()[0]
-        pinned = [u, v]
-        pin_sets = orthogonal_pair_representatives(sys)
-    else:
-        pinned = []
-        pin_sets = [()]
-    if tris and not pin_sets:
-        return None
-
+    edges = g.edges()
+    pinned = list(tris[0] if tris else edges[0] if edges else ())
+    pin_sets = orthogonal_representatives(sys, len(pinned)) if pinned else [()]
     rest = sorted((v for v in range(g.n) if v not in pinned), key=lambda v: (-g.degree(v), v))
     vorder = pinned + rest
-    full = (1 << nd) - 1
+    full = (1 << len(dirs)) - 1
     nodes = 0
 
-    def search(assign: list[int | None], cand: list[int], depth: int) -> bool:
+    def search(cand: list[int], depth: int) -> list[int] | None:
+        """Place vorder[depth:]; a placed vertex's candidate set is its direction's bit."""
         nonlocal nodes
         if depth == g.n:
-            return True
+            return cand
         v = vorder[depth]
+        adj = g.rows[v]
         m = cand[v]
         while m:
             nodes += 1
@@ -253,48 +215,25 @@ def grid_embed(
             m ^= b
             d = b.bit_length() - 1
             new_cand = list(cand)
-            ok = True
-            for u in range(g.n):
-                if assign[u] is None and u != v:
-                    c = new_cand[u] & ~b
-                    if g.has_edge(u, v):
-                        c &= orth[d]
-                    new_cand[u] = c
-                    if c == 0:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            assign[v] = d
-            if search(assign, new_cand, depth + 1):
-                return True
-            assign[v] = None
-        return False
+            new_cand[v] = b
+            for u in vorder[depth + 1:]:  # orth[d] lacks d: a neighbour never reuses it
+                c = cand[u] & (orth[d] if adj >> u & 1 else ~b)
+                if not c:
+                    break
+                new_cand[u] = c
+            else:
+                placed = search(new_cand, depth + 1)
+                if placed is not None:
+                    return placed
+        return None
 
     for pins in pin_sets:
-        assign: list[int | None] = [None] * g.n
         cand = [full] * g.n
-        ok = True
         for v, d in zip(pinned, pins):
-            di = dir_index[d]
-            if not cand[v] >> di & 1:
-                ok = False
-                break
-            assign[v] = di
-            for u in range(g.n):
-                if assign[u] is None:
-                    c = cand[u] & ~(1 << di)
-                    if g.has_edge(u, v):
-                        c &= orth[di]
-                    cand[u] = c
-            if any(cand[u] == 0 for u in range(g.n) if assign[u] is None):
-                ok = False
-                break
-        if not ok:
-            continue
-        if search(assign, cand, len(pinned)):
-            mapping = tuple(dirs[assign[v]] for v in range(g.n))
-            return GridEmbedding(n, mapping)
+            cand[v] = 1 << dir_index[d]
+        placed = search(cand, 0)
+        if placed is not None:
+            return GridEmbedding(n, tuple(dirs[c.bit_length() - 1] for c in placed))
     return None
 
 
@@ -310,11 +249,6 @@ class GridSubsystem:
     directions: tuple[Vec, ...]
     graph: Graph
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"N": self.N, "directions": [list(d) for d in self.directions]}
-        )
-
 
 @dataclass(frozen=True)
 class TruncationMarker:
@@ -323,21 +257,18 @@ class TruncationMarker:
     reason: str
 
 
-def subsystem(sys: GridSystem, indices) -> GridSubsystem:
-    idx = tuple(sorted(indices))
-    return GridSubsystem(
-        sys.N, idx, tuple(sys.directions[i] for i in idx), sys.graph.induced(idx)
-    )
-
-
 def minimize_uncolourable(
     sys: GridSystem, scan_order: list[int] | None = None
 ) -> GridSubsystem:
     """Greedy inclusion-minimal reduction of a non-101-colourable grid.
 
-    Repeatedly removes the first vertex (in the fixed scan order) whose
-    removal keeps the graph uncolourable, until critical: removing any
-    remaining vertex restores colourability.
+    One pass over the fixed scan order removes each vertex whose removal
+    keeps the remaining graph uncolourable; the result is critical: removing
+    any remaining vertex restores colourability.  One pass suffices because
+    101-colourability is inherited by induced subgraphs: a vertex kept
+    because the rest was colourable without it stays needed in every later,
+    smaller subgraph, so restarting the scan after each removal (the
+    textbook greedy) removes exactly the same vertices.
     """
     if solve_101(sys.graph) is not None:
         raise ValueError("grid is 101-colourable; nothing to minimize")
@@ -345,18 +276,11 @@ def minimize_uncolourable(
     if scan_order is None:
         scan_order = list(range(nd))
     current = set(range(nd))
-    while True:
-        removed = False
-        for v in scan_order:
-            if v not in current:
-                continue
-            rest = sorted(current - {v})
-            if solve_101(sys.graph.induced(rest)) is None:
-                current.remove(v)
-                removed = True
-                break
-        if not removed:
-            return subsystem(sys, current)
+    for v in scan_order:
+        if solve_101(sys.graph.induced(sorted(current - {v}))) is None:
+            current.remove(v)
+    idx = tuple(sorted(current))
+    return GridSubsystem(sys.N, idx, tuple(sys.directions[i] for i in idx), sys.graph.induced(idx))
 
 
 def enumerate_grid_subsystems(

@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import is_k_colourable, solve_101, validate_101
-from .grids import get_grid, grid_embed, validate_grid_embedding
+from .grids import MAX_GRID_N, get_grid, grid_embed, validate_grid_embedding
 from .constraints import DEFAULT_DELTA, MIN_DELTA
 from .embedding import decide_embeddability
 from .catalog import CatalogRecord, compact, read_records
@@ -55,8 +55,8 @@ class JobSpec:
             raise ValueError("ticket depth must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if any(not 1 <= g <= 32 for g in self.grid_ladder):
-            raise ValueError("grid ladder entries must lie in 1..32")
+        if any(not 1 <= g <= MAX_GRID_N for g in self.grid_ladder):
+            raise ValueError(f"grid ladder entries must lie in 1..{MAX_GRID_N}")
         if self.interval_budget < 1:
             raise ValueError("interval budget must be at least 1")
         if not MIN_DELTA <= self.delta < 1:

@@ -1,24 +1,30 @@
 """Grid generation, symmetry, exact embedding, uncolourable subsystems."""
 
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kssearch.graphs import Graph, is_square_free
+from kssearch.graphs import Graph, _bits, is_square_free, triangles
 from kssearch.colouring import is_k_colourable, solve_101, validate_101
 from kssearch.grids import (
     EmbedBudgetExceeded,
+    GridEmbedding,
     TruncationMarker,
+    _axis_first,
     direction_count,
     enumerate_grid_subsystems,
     get_grid,
     grid_embed,
     minimize_uncolourable,
     normalize_direction,
+    orthogonal_representatives,
     validate_grid_embedding,
 )
+from kssearch.orderly import enumerate_graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -123,8 +129,6 @@ def test_k13_embedding_n2():
 
 
 def test_embedded_implies_four_colourable():
-    from kssearch.orderly import enumerate_graphs
-
     for n in range(2, 7):
         for g in enumerate_graphs(n):
             emb = None
@@ -142,22 +146,194 @@ def test_budget_error_distinct_from_not_found():
         grid_embed(sub, 3, node_limit=2)
 
 
+def test_node_count_includes_pins():
+    # K3 on N = 1 embeds on its first pin set: three placements, all pins
+    with pytest.raises(EmbedBudgetExceeded):
+        grid_embed(K3, 1, node_limit=2)
+    assert grid_embed(K3, 1, node_limit=3) is not None
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the pair/triple orbit scans and the pin-loop embedding search that
+# orthogonal_representatives and grid_embed replaced.
+
+def _reference_orbit_key(vectors):
+    best = None
+    for p in itertools.permutations(range(3)):
+        for s in itertools.product((1, -1), repeat=3):
+            img = tuple(
+                normalize_direction((v[p[0]] * s[0], v[p[1]] * s[1], v[p[2]] * s[2]))
+                for v in vectors
+            )
+            if best is None or img < best:
+                best = img
+    return best
+
+
+@lru_cache(maxsize=None)
+def _reference_representatives(n, k):
+    grid = get_grid(n)
+    dirs, rows = grid.directions, grid.graph.rows
+    reps = {}
+    for i in range(len(dirs)):
+        for j in _bits(rows[i]):
+            if k == 2:
+                tuples = [(dirs[i], dirs[j])]
+            else:
+                tuples = [(dirs[i], dirs[j], dirs[m]) for m in _bits(rows[i] & rows[j])]
+            for t in tuples:
+                reps.setdefault(_reference_orbit_key(t), t)
+    return tuple(_axis_first(n, [reps[key] for key in sorted(reps)]))
+
+
+def _reference_grid_embed(g, n):
+    if not is_square_free(g):
+        return None
+    grid = get_grid(n)
+    dirs = grid.directions
+    orth = grid.graph.rows
+    dir_index = {d: i for i, d in enumerate(dirs)}
+    tris = triangles(g)
+    if tris:
+        pinned = list(tris[0])
+        pin_sets = _reference_representatives(n, 3)
+    elif g.edge_count() > 0:
+        pinned = list(g.edges()[0])
+        pin_sets = _reference_representatives(n, 2)
+    else:
+        pinned = []
+        pin_sets = [()]
+    rest = sorted((v for v in range(g.n) if v not in pinned), key=lambda v: (-g.degree(v), v))
+    vorder = pinned + rest
+    full = (1 << len(dirs)) - 1
+
+    def search(assign, cand, depth):
+        if depth == g.n:
+            return True
+        v = vorder[depth]
+        m = cand[v]
+        while m:
+            b = m & -m
+            m ^= b
+            d = b.bit_length() - 1
+            new_cand = list(cand)
+            ok = True
+            for u in range(g.n):
+                if assign[u] is None and u != v:
+                    c = new_cand[u] & ~b
+                    if g.has_edge(u, v):
+                        c &= orth[d]
+                    new_cand[u] = c
+                    if c == 0:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            assign[v] = d
+            if search(assign, new_cand, depth + 1):
+                return True
+            assign[v] = None
+        return False
+
+    for pins in pin_sets:
+        assign = [None] * g.n
+        cand = [full] * g.n
+        ok = True
+        for v, d in zip(pinned, pins):
+            di = dir_index[d]
+            if not cand[v] >> di & 1:
+                ok = False
+                break
+            assign[v] = di
+            for u in range(g.n):
+                if assign[u] is None:
+                    c = cand[u] & ~(1 << di)
+                    if g.has_edge(u, v):
+                        c &= orth[di]
+                    cand[u] = c
+            if any(cand[u] == 0 for u in range(g.n) if assign[u] is None):
+                ok = False
+                break
+        if not ok:
+            continue
+        if search(assign, cand, len(pinned)):
+            return GridEmbedding(n, tuple(dirs[assign[v]] for v in range(g.n)))
+    return None
+
+
+def _same_embedding(g, n):
+    emb, ref = grid_embed(g, n), _reference_grid_embed(g, n)
+    return (emb is None and ref is None) or (
+        emb is not None and ref is not None and emb.mapping == ref.mapping
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orthogonal_representatives_match_reference(n):
+    for k in (2, 3):
+        assert orthogonal_representatives(get_grid(n), k) == _reference_representatives(n, k)
+
+
+def test_grid_embed_matches_reference_small_graphs():
+    for k in range(1, 8):
+        for g in enumerate_graphs(k):
+            for n in (1, 2, 3):
+                assert _same_embedding(g, n), (k, g.rows, n)
+
+
+@lru_cache(maxsize=None)
+def _n2_candidates():
+    grid = get_grid(2)
+    subs = []
+    for seed in (None, 0, 1):
+        order = list(range(len(grid.directions)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        subs.append(minimize_uncolourable(grid, order).graph)
+    return subs
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_grid_embed_matches_reference_relabelled_candidates(data):
+    g = data.draw(st.sampled_from(_n2_candidates()))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    for n in (2, 4):
+        assert _same_embedding(h, n)
+
+
 def test_minimize_uncolourable_requires_uncolourable():
     with pytest.raises(ValueError):
         minimize_uncolourable(get_grid(1))
 
 
+def _restart_greedy_indices(grid, order):
+    """Remove the first removable vertex in scan order, then rescan from the start."""
+    current = set(range(len(grid.directions)))
+    while True:
+        for v in order:
+            if v in current and solve_101(grid.graph.induced(sorted(current - {v}))) is None:
+                current.remove(v)
+                break
+        else:
+            return tuple(sorted(current))
+
+
 def test_minimize_n2_critical():
     sys2 = get_grid(2)
-    sub = minimize_uncolourable(sys2)
-    assert len(sub.indices) >= 31
-    assert solve_101(sub.graph) is None
-    # critical: removing any single vertex restores colourability (spot check)
-    rng = random.Random(0)
-    picks = rng.sample(range(len(sub.indices)), 5)
-    for v in picks:
-        rest = [i for i in range(len(sub.indices)) if i != v]
-        assert solve_101(sub.graph.induced(rest)) is not None
+    for seed in (None, 0, 1, 2, 3, 4, 5):
+        order = list(range(len(sys2.directions)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        sub = minimize_uncolourable(sys2, order)
+        assert 31 <= len(sub.indices) <= 41
+        assert solve_101(sub.graph) is None
+        # critical: removing any single vertex restores colourability
+        for v in range(len(sub.indices)):
+            rest = [i for i in range(len(sub.indices)) if i != v]
+            assert solve_101(sub.graph.induced(rest)) is not None
+        assert sub.indices == _restart_greedy_indices(sys2, order), seed
 
 
 def test_subsystem_stream_n1_empty():
