@@ -4,7 +4,8 @@
 A change that claims to keep behaviour should print the same digests before
 and after:
 
-- the sha256 of the compacted catalog of JobSpec(1, 10);
+- the sha256 of the compacted catalog of JobSpec(1, 10), and
+  ``summary_1_10_sha256``, the sha256 of that run's ``summary.json`` bytes;
 - the count of ``enumerate_graphs(11)`` and the sha256 of its upper-triangle
   codes in DFS order, one per line;
 - the sha256 of the interval verdicts (``verdict_to_json``, one line per
@@ -138,6 +139,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         run_search(JobSpec(n_min=1, n_max=10, out_dir=tmp))
         catalog = (Path(tmp) / "catalog.jsonl").read_bytes()
+        summary = (Path(tmp) / "summary.json").read_bytes()
     codes = [encode_upper_triangle(g) for g in enumerate_graphs(11)]
     verdicts = [
         (g, decide_embeddability(g, budget=3_000)) for n in range(1, 8) for g in enumerate_graphs(n)
@@ -150,6 +152,7 @@ def main() -> int:
     grid_lines = _grid_lines(n2_subs)
     out = {
         "catalog_1_10_sha256": hashlib.sha256(catalog).hexdigest(),
+        "summary_1_10_sha256": hashlib.sha256(summary).hexdigest(),
         "enumerate_11": len(codes),
         "enumerate_11_sha256": hashlib.sha256("\n".join(codes).encode()).hexdigest(),
         "verdicts_n_le_7": len(small),

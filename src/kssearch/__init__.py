@@ -31,7 +31,6 @@ from .orderly import (
     list_tickets,
 )
 from .colouring import (
-    candidate_filter,
     export_dimacs_101,
     is_k_colourable,
     solve_101,

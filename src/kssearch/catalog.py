@@ -1,15 +1,16 @@
-"""Append-only JSON-lines results catalog with sorted compaction.
+"""JSON-lines results catalog with sorted compaction.
 
-Raw shards carry timestamps for provenance; compaction produces the
-canonical catalog (sorted by (n, graph6), deduplicated, timestamp-free) so
-repeated runs compare byte-identical.
+Shard lines and catalog lines share one format; compaction merges shards
+into the canonical catalog (sorted by (n, graph6), deduplicated) so repeated
+runs compare byte-identical.  Every job file is written through
+:func:`write_synced`, so a file that exists is complete.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 TOOL_VERSION = "kssearch 0.1.0"
@@ -32,12 +33,9 @@ class CatalogRecord:
     flags: dict
     grid: dict = field(default_factory=lambda: {"embedded_n": None, "tried_up_to": None})
     interval: dict | None = None
-    timestamps: dict = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
 
     def __post_init__(self):
-        if not self.timestamps:
-            self.timestamps = {"created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         bad = self.consistency_errors()
         if bad:
             raise ValueError(f"inconsistent record for {self.graph6}: {bad}")
@@ -53,7 +51,7 @@ class CatalogRecord:
             out.append("grid-embedded record not marked square-free")
         return out
 
-    def to_json(self, include_timestamps: bool = True) -> str:
+    def to_json(self) -> str:
         data = {
             "graph6": self.graph6,
             "n": self.n,
@@ -62,12 +60,12 @@ class CatalogRecord:
             "interval": self.interval,
             "tool_version": self.tool_version,
         }
-        if include_timestamps:
-            data["timestamps"] = self.timestamps
         return json.dumps(data, sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "CatalogRecord":
+        """Parse one line; keys outside the record (older shards' provenance
+        stamps) are ignored."""
         data = json.loads(line)
         return CatalogRecord(
             graph6=data["graph6"],
@@ -75,7 +73,6 @@ class CatalogRecord:
             flags=data["flags"],
             grid=data.get("grid") or {"embedded_n": None, "tried_up_to": None},
             interval=data.get("interval"),
-            timestamps=data.get("timestamps") or {"created": "unknown"},
             tool_version=data.get("tool_version", "unknown"),
         )
 
@@ -90,18 +87,25 @@ def read_records(path: str) -> list[CatalogRecord]:
     return out
 
 
-def compact(shard_paths, out_path: str) -> int:
-    """Merge shards into the canonical catalog: sorted, deduplicated by
-    graph6 text, timestamps stripped.  Atomic (write-then-rename)."""
+def write_synced(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` atomically: a synced ``<path>.tmp``
+    renamed into place, so a crash leaves the old file or the whole new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def compact(shard_paths, out_path: str) -> list[CatalogRecord]:
+    """Merge shards into the canonical catalog, sorted by (n, graph6) and
+    deduplicated (a later shard's record wins); returns its records in
+    catalog order."""
     by_key: dict[tuple[int, str], CatalogRecord] = {}
     for path in shard_paths:
-        if not os.path.exists(path):
-            continue
         for rec in read_records(path):
             by_key[(rec.n, rec.graph6)] = rec
-    tmp = out_path + ".tmp"
-    with open(tmp, "w") as fh:
-        for key in sorted(by_key):
-            fh.write(by_key[key].to_json(include_timestamps=False) + "\n")
-    os.replace(tmp, out_path)
-    return len(by_key)
+    records = [by_key[key] for key in sorted(by_key)]
+    write_synced(out_path, (rec.to_json() + "\n" for rec in records))
+    return records

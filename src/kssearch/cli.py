@@ -269,7 +269,7 @@ def _dispatch(args) -> int:
         )
         import os
 
-        if not args.resume and os.path.exists(os.path.join(args.out, "tickets.log")):
+        if not args.resume and os.path.exists(os.path.join(args.out, "spec.json")):
             sys.stderr.write("error: job state exists; pass --resume to continue it\n")
             return EXIT_USAGE
         summary = run_search(spec)

@@ -17,17 +17,8 @@ is ever peeled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    _bits,
-    every_vertex_in_triangle,
-    is_square_free,
-    min_degree,
-    triangle_core,
-    triangles,
-)
+from .graphs import Graph, _bits, triangle_core, triangles
 
 
 def validate_101(g: Graph, assignment) -> bool:
@@ -136,28 +127,7 @@ def is_k_colourable(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     """Exact decision with a witness (colours 1..k) when colourable."""
     if not 2 <= k <= 4:
         raise ValueError("k must be in 2..4")
-    if k == 2:
-        return _bipartite(g)
     return _backtrack_colour(g, k)
-
-
-def _bipartite(g: Graph):
-    n, rows = g.n, g.rows
-    colour = [0] * n
-    for s in range(n):
-        if colour[s]:
-            continue
-        colour[s] = 1
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for w in _bits(rows[u]):
-                if colour[w] == 0:
-                    colour[w] = 3 - colour[u]
-                    queue.append(w)
-                elif colour[w] == colour[u]:
-                    return False, None
-    return True, tuple(colour)
 
 
 def _backtrack_colour(g: Graph, k: int):
@@ -218,33 +188,6 @@ def colouring_from_3colouring(witness) -> tuple[int, ...]:
     triangle uses all three classes, so one vertex of each triangle gets 0.
     """
     return tuple(0 if c == 1 else 1 for c in witness)
-
-
-# ---------------------------------------------------------------------------
-# Minimal-KS candidate pre-screen
-
-@dataclass(frozen=True, slots=True)
-class FilterResult:
-    passed: bool
-    reason: str | None = None
-
-
-def candidate_filter(g: Graph) -> FilterResult:
-    """Cheap necessary conditions for a minimal KS candidate, in order:
-    square-free, not 3-colourable, 4-colourable, minimum degree 3, every
-    vertex in a triangle.  Returns the first failed condition as reason.
-    """
-    if not is_square_free(g):
-        return FilterResult(False, "square")
-    if is_k_colourable(g, 3)[0]:
-        return FilterResult(False, "3-colourable")
-    if not is_k_colourable(g, 4)[0]:
-        return FilterResult(False, "not-4-colourable")
-    if min_degree(g) < 3:
-        return FilterResult(False, "min-degree")
-    if not every_vertex_in_triangle(g):
-        return FilterResult(False, "no-triangle")
-    return FilterResult(True)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,11 @@ def get_grid(n: int) -> GridSystem:
     return generate_grid(n)
 
 
+@lru_cache(maxsize=None)
+def _grid_colourable(n: int) -> bool:
+    return solve_101(get_grid(n).graph) is not None
+
+
 # ---------------------------------------------------------------------------
 # Grid symmetry (signed coordinate permutations, order 48)
 
@@ -173,9 +178,13 @@ def grid_embed(
 
     Returns an embedding (an unconditional certificate, exact arithmetic) or
     None after exhausting the search; None says nothing about embeddability
-    elsewhere.  Symmetry is quotiented by pinning the first triangle (first
-    edge for triangle-free graphs) to one representative per grid-symmetry
-    orbit, axis images first, which together cover the full search space.
+    elsewhere.  A graph that is not 101-colourable gets None without search
+    on a 101-colourable grid (memoized per N): an embedding maps edges to
+    orthogonal pairs and triangles to orthogonal triples, so it would pull
+    the grid's colouring back onto the graph.  Symmetry is quotiented by
+    pinning the first triangle (first edge for triangle-free graphs) to one
+    representative per grid-symmetry orbit, axis images first, which
+    together cover the full search space.
     A pin is a candidate set of one direction, placed by the search like any
     other vertex, so the node count includes pin placements.  Raises
     :class:`EmbedBudgetExceeded` when the count passes ``node_limit``.
@@ -186,6 +195,8 @@ def grid_embed(
         sys = get_grid(n)
     elif sys.N != n:
         raise ValueError("grid system parameter mismatch")
+    if _grid_colourable(n) and solve_101(g) is None:
+        return None
     dirs = sys.directions
     orth = sys.graph.rows
     dir_index = {d: i for i, d in enumerate(dirs)}

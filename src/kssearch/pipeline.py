@@ -1,11 +1,12 @@
 """Search orchestration: enumerate, filter, colour, embed, persist, report.
 
-A job walks target sizes n, splitting each enumeration into subtree tickets;
-every ticket's results land in its own shard, synced to disk before it is
-renamed into place, and the ticket is logged done after that.  A ticket
-counts as done only when it is logged and its shard exists, so a killed job
-resumes exactly where it stopped.  Shards merge into the canonical catalog
-at the end.
+A job's state on disk is ``spec.json`` plus ``shards/``.  The job walks
+target sizes n, splitting each enumeration into subtree tickets; each
+ticket's records land in its own shard, written in catalog format through
+:func:`catalog.write_synced`.  A ticket is done exactly when its shard
+exists, so a killed job resumes where it stopped.  Shards merge into the
+canonical catalog at the end, and the summary is built from the merged
+records.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .colouring import is_k_colourable, solve_101, validate_101
 from .grids import MAX_GRID_N, get_grid, grid_embed, validate_grid_embedding
 from .constraints import DEFAULT_DELTA, MIN_DELTA
 from .embedding import decide_embeddability
-from .catalog import CatalogRecord, compact, read_records
+from .catalog import CatalogRecord, compact, read_records, write_synced
 
 DEFAULT_GRID_LADDER = (1, 2, 3, 4, 5, 8)
 DEFAULT_INTERVAL_BUDGET = 20_000
@@ -123,28 +124,15 @@ def evaluate_graph(
     return CatalogRecord(graph6=graph6_encode(g), n=g.n, flags=flags, grid=grid, interval=interval)
 
 
-def _ticket_key(n: int, ticket: SubtreeTicket | None) -> str:
-    return f"{n}/{ticket.ticket_id if ticket else 'root'}"
-
-
-def _process_ticket(args) -> tuple[str, str, int]:
-    """Worker: enumerate one subtree, evaluate, write shard, return key."""
-    spec_json, n, ticket_id, shard_path = args
-    spec = JobSpec.from_json(spec_json)
+def _process_ticket(args) -> None:
+    """Worker: enumerate one subtree, evaluate each class, write its shard."""
+    spec, n, ticket_id, shard_path = args
     ticket = SubtreeTicket.from_id(ticket_id) if ticket_id else None
-    records = []
-    for g in enumerate_graphs(n, spec.filters, ticket):
-        records.append(
-            evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta)
-        )
-    tmp = shard_path + ".tmp"
-    with open(tmp, "w") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, shard_path)
-    return _ticket_key(n, ticket), shard_path, len(records)
+    records = [
+        evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta)
+        for g in enumerate_graphs(n, spec.filters, ticket)
+    ]
+    write_synced(shard_path, (rec.to_json() + "\n" for rec in records))
 
 
 def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
@@ -156,36 +144,25 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     is written with ``complete`` false, and a resume runs it again.
     """
     spec.validate()
-    os.makedirs(spec.out_dir, exist_ok=True)
     shard_dir = os.path.join(spec.out_dir, "shards")
     os.makedirs(shard_dir, exist_ok=True)
     spec_path = os.path.join(spec.out_dir, "spec.json")
     if os.path.exists(spec_path):
-        existing = JobSpec.from_json(open(spec_path).read())
-        if existing != spec:
-            raise ValueError("output directory holds a different job spec")
+        with open(spec_path) as fh:
+            if JobSpec.from_json(fh.read()) != spec:
+                raise ValueError("output directory holds a different job spec")
     else:
-        with open(spec_path, "w") as fh:
-            fh.write(spec.to_json())
-
-    log_path = os.path.join(spec.out_dir, "tickets.log")
-    done: set[str] = set()
-    if os.path.exists(log_path):
-        with open(log_path) as fh:
-            done = {line.strip() for line in fh if line.strip()}
+        write_synced(spec_path, [spec.to_json()])
 
     # listed once per job: every n above the split depth shares the tickets
     deep = list_tickets(spec.ticket_depth, spec.filters) if spec.n_max > spec.ticket_depth else []
     tasks = []
     for n in range(spec.n_min, spec.n_max + 1):
-        tickets: list[SubtreeTicket | None] = deep if n > spec.ticket_depth else [None]
-        for t in tickets:
-            key = _ticket_key(n, t)
-            shard = os.path.join(shard_dir, key.replace("/", "_").replace(":", "-") + ".jsonl")
-            # a crash can keep the log line but lose the shard's rename
-            if key in done and os.path.exists(shard):
-                continue
-            tasks.append((spec.to_json(), n, t.ticket_id if t else "", shard))
+        for t in deep if n > spec.ticket_depth else [None]:
+            ticket_id = t.ticket_id if t else ""
+            shard = os.path.join(shard_dir, f"{n}_{ticket_id.replace(':', '-') or 'root'}.jsonl")
+            if not os.path.exists(shard):  # shards land synced: one that exists is done
+                tasks.append((spec, n, ticket_id, shard))
 
     if max_tickets is not None:
         tasks = tasks[:max_tickets]
@@ -193,42 +170,27 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     processed = 0
     failed: list[str] = []
 
-    def note_done(key: str) -> None:
+    def attempt(task, call) -> None:
+        # a ticket that raises leaves no shard, so a resume runs it again
         nonlocal processed
-        with open(log_path, "a") as fh:
-            fh.write(key + "\n")
-        processed += 1
-
-    def note_failed(task, e: Exception) -> None:
-        # the ticket aborts with its shard unwritten and stays out of the
-        # log, so a resume runs it again
-        failed.append(f"n={task[1]}, ticket={task[2] or 'root'}: {type(e).__name__}: {e}")
+        try:
+            call()
+            processed += 1
+        except Exception as e:  # a broken pool fails each ticket left
+            failed.append(f"n={task[1]}, ticket={task[2] or 'root'}: {type(e).__name__}: {e}")
 
     if spec.workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {pool.submit(_process_ticket, t): t for t in tasks}
-            for fut, task in futures.items():
-                try:
-                    key, _shard, _count = fut.result()
-                    note_done(key)
-                except Exception as e:  # a broken pool fails each ticket left
-                    note_failed(task, e)
+            for task, fut in [(t, pool.submit(_process_ticket, t)) for t in tasks]:
+                attempt(task, fut.result)
     else:
         for task in tasks:
-            try:
-                key, _shard, _count = _process_ticket(task)
-                note_done(key)
-            except Exception as e:
-                note_failed(task, e)
+            attempt(task, lambda: _process_ticket(task))
 
-    # merge shards into the canonical catalog
     shards = sorted(
         os.path.join(shard_dir, f) for f in os.listdir(shard_dir) if f.endswith(".jsonl")
     )
-    catalog_path = os.path.join(spec.out_dir, "catalog.jsonl")
-    total = compact(shards, catalog_path)
-
-    records = read_records(catalog_path)
+    records = compact(shards, os.path.join(spec.out_dir, "catalog.jsonl"))
     per_n: dict[int, int] = {}
     survivors = []
     conjecture_probe = []
@@ -247,14 +209,15 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     summary = {
         "tickets_processed": processed,
         "tickets_failed": failed,
-        "records": total,
+        "records": len(records),
         "per_n": {str(k): v for k, v in sorted(per_n.items())},
         "uncolourable_survivors": survivors,
         "conjecture_probe_log": conjecture_probe,
         "complete": max_tickets is None and not failed,
     }
-    with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+    write_synced(
+        os.path.join(spec.out_dir, "summary.json"), [json.dumps(summary, sort_keys=True, indent=1)]
+    )
     return summary
 
 

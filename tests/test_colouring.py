@@ -1,4 +1,4 @@
-"""101-colourability solver, k-colouring, candidate filter, DIMACS export."""
+"""101-colourability solver, k-colouring, DIMACS export."""
 
 import itertools
 import random
@@ -7,7 +7,6 @@ import pytest
 
 from kssearch.graphs import Graph
 from kssearch.colouring import (
-    candidate_filter,
     colouring_from_3colouring,
     export_dimacs_101,
     is_k_colourable,
@@ -18,10 +17,8 @@ from kssearch.colouring import (
 from kssearch.orderly import enumerate_graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-P3 = Graph.from_edges(3, [(0, 1), (0, 2)])
 
 
 def random_graph(rng, n, p):
@@ -95,26 +92,34 @@ def test_k_colouring_witness_is_proper():
                 assert all(w[u] != w[v] for u, v in g.edges())
 
 
+def test_k_colouring_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 7), 0.4)
+        for k in (2, 3):
+            proper = any(
+                all(c[u] != c[v] for u, v in g.edges())
+                for c in itertools.product(range(k), repeat=g.n)
+            )
+            assert is_k_colourable(g, k)[0] == proper
+
+
 def test_k_colourability_rejects_bad_k():
     with pytest.raises(ValueError):
         is_k_colourable(K3, 5)
 
 
-def test_candidate_filter_reasons():
-    assert candidate_filter(K3).reason == "3-colourable"
-    assert candidate_filter(C4).reason == "square"
-    assert candidate_filter(P3).reason == "3-colourable"
-    diamond_plus = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    assert not candidate_filter(diamond_plus).passed
-
-
 def test_filter_passes_known_ks_graph():
-    # the 31-vertex critical subsystem of the N=2 grid satisfies all filters
+    # the 31-vertex critical subsystem of the N=2 grid meets every
+    # necessary condition for a minimal KS candidate
     from kssearch.grids import get_grid, minimize_uncolourable
+    from kssearch.pipeline import evaluate_graph
 
     sub = minimize_uncolourable(get_grid(2))
-    res = candidate_filter(sub.graph)
-    assert res.passed, res.reason
+    flags = evaluate_graph(sub.graph, grid_ladder=(), interval_budget=1).flags
+    assert flags["square_free"] and flags["min_degree_ge3"]
+    assert flags["every_vertex_in_triangle"] and flags["four_colourable"]
+    assert not flags["three_colourable"] and not flags["colourable_101"]
 
 
 def test_dimacs_structure():

@@ -299,8 +299,17 @@ def test_grid_embed_matches_reference_relabelled_candidates(data):
     g = data.draw(st.sampled_from(_n2_candidates()))
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    for n in (2, 4):
+    for n in range(1, 6):
         assert _same_embedding(h, n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_uncolourable_graph_on_colourable_grid_needs_no_search(n):
+    # a grid embedding would pull the grid's 101-colouring back onto g
+    assert solve_101(get_grid(n).graph) is not None
+    for g in _n2_candidates():
+        assert solve_101(g) is None
+        assert grid_embed(g, n, node_limit=0) is None
 
 
 def test_minimize_uncolourable_requires_uncolourable():

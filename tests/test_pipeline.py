@@ -117,14 +117,12 @@ def test_resume_after_interruption(tmp_path):
 
 
 def test_resume_reruns_logged_ticket_without_shard(tmp_path):
-    # after a power loss the log line can outlive the shard's rename
+    # a ticket is done exactly when its shard exists: a lost shard is rerun
     full = spec_for(tmp_path / "full", 8, ticket_depth=4)
     run_search(full)
     part = spec_for(tmp_path / "part", 8, ticket_depth=4)
     run_search(part)
     lost = os.path.join(part.out_dir, "shards", "8_4-34.jsonl")
-    with open(os.path.join(part.out_dir, "tickets.log")) as fh:
-        assert "8/4:34\n" in fh.readlines()
     assert len(read_records(lost)) > 0
     os.remove(lost)
     resumed = run_search(part)
@@ -133,6 +131,58 @@ def test_resume_reruns_logged_ticket_without_shard(tmp_path):
     c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(part.out_dir, "catalog.jsonl"), "rb").read()
     assert c1 == c2
+
+
+def test_resume_accepts_older_job_directory(tmp_path):
+    # job directories from before shards were written in catalog format
+    # hold a tickets.log and shard lines with a "timestamps" key
+    clean = spec_for(tmp_path / "clean", 8, ticket_depth=4)
+    run_search(clean)
+    old = spec_for(tmp_path / "old", 8, ticket_depth=4)
+    run_search(old)
+    shard_dir = os.path.join(old.out_dir, "shards")
+    keys = []
+    for name in sorted(os.listdir(shard_dir)):
+        n, ticket = name[: -len(".jsonl")].split("_")
+        keys.append(f"{n}/{ticket.replace('-', ':')}")
+        path = os.path.join(shard_dir, name)
+        lines = [
+            json.dumps({**json.loads(line), "timestamps": {"created": "2026-01-01T00:00:00Z"}},
+                       sort_keys=True)
+            for line in open(path)
+        ]
+        open(path, "w").write("".join(line + "\n" for line in lines))
+    open(os.path.join(old.out_dir, "tickets.log"), "w").write("".join(k + "\n" for k in keys))
+    resumed = run_search(old)
+    assert resumed["tickets_processed"] == 0 and resumed["complete"]
+    c1 = open(os.path.join(clean.out_dir, "catalog.jsonl"), "rb").read()
+    c2 = open(os.path.join(old.out_dir, "catalog.jsonl"), "rb").read()
+    assert c1 == c2
+
+
+def test_every_job_file_is_synced_before_rename(tmp_path, monkeypatch):
+    synced: set[int] = set()
+    renamed: set[str] = set()
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        real_fsync(fd)
+        synced.add(os.fstat(fd).st_ino)
+
+    def replace(src, dst):
+        if os.stat(src).st_ino in synced:
+            renamed.add(os.path.relpath(dst, tmp_path / "j"))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    spec = spec_for(tmp_path / "j", 8, ticket_depth=4)
+    run_search(spec)
+    shards = {os.path.join("shards", f) for f in os.listdir(os.path.join(spec.out_dir, "shards"))}
+    assert len(shards) > 1
+    top = set(os.listdir(spec.out_dir)) - {"shards"}
+    assert top == {"spec.json", "catalog.jsonl", "summary.json"}
+    assert renamed == top | shards
 
 
 def test_resume_rejects_changed_spec(tmp_path):
@@ -156,15 +206,16 @@ def test_ticket_accounting(tmp_path):
     assert per_shard == len(catalog)
 
 
-def test_compaction_is_timestamp_free(tmp_path):
-    spec = spec_for(tmp_path / "j", 4)
+def test_shard_lines_are_catalog_lines(tmp_path):
+    spec = spec_for(tmp_path / "j", 6, ticket_depth=4)
     run_search(spec)
-    for line in open(os.path.join(spec.out_dir, "catalog.jsonl")):
-        assert "timestamps" not in json.loads(line)
+    catalog = open(os.path.join(spec.out_dir, "catalog.jsonl")).read().splitlines()
     shard_dir = os.path.join(spec.out_dir, "shards")
-    some_shard = next(f for f in os.listdir(shard_dir) if f.endswith(".jsonl"))
-    for line in open(os.path.join(shard_dir, some_shard)):
-        assert "timestamps" in json.loads(line)
+    shard_lines = [
+        line for f in os.listdir(shard_dir) for line in open(os.path.join(shard_dir, f))
+    ]
+    assert sorted(line.rstrip("\n") for line in shard_lines) == sorted(catalog)
+    assert all("timestamps" not in json.loads(line) for line in catalog)
 
 
 def test_report_counts(tmp_path):
@@ -438,6 +489,13 @@ def test_cli_pipeline_and_report(tmp_path):
     assert r.returncode == 0
     r = cli("pipeline", "--n", "1..5", "--out", out)
     assert r.returncode == 1  # refuses to clobber without --resume
+    # a job stopped before any ticket finished holds only spec.json: still a job
+    started = str(tmp_path / "started")
+    run_search(JobSpec(n_min=1, n_max=5, out_dir=started), max_tickets=0)
+    os.remove(os.path.join(started, "catalog.jsonl"))
+    os.remove(os.path.join(started, "summary.json"))
+    r = cli("pipeline", "--n", "1..5", "--out", started)
+    assert r.returncode == 1 and "--resume" in r.stderr
     r = cli("pipeline", "--n", "1..5", "--out", out, "--resume")
     assert r.returncode == 0
     r = cli("report", "--catalog", os.path.join(out, "catalog.jsonl"))
