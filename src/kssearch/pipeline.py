@@ -128,11 +128,11 @@ def _process_ticket(args) -> None:
     """Worker: enumerate one subtree, evaluate each class, write its shard."""
     spec, n, ticket_id, shard_path = args
     ticket = SubtreeTicket.from_id(ticket_id) if ticket_id else None
-    records = [
-        evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta)
+    lines = [
+        evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta).to_json() + "\n"
         for g in enumerate_graphs(n, spec.filters, ticket)
     ]
-    write_synced(shard_path, (rec.to_json() + "\n" for rec in records))
+    write_synced(shard_path, lines)
 
 
 def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:

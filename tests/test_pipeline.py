@@ -136,28 +136,24 @@ def test_resume_reruns_logged_ticket_without_shard(tmp_path):
 def test_resume_accepts_older_job_directory(tmp_path):
     # job directories from before shards were written in catalog format
     # hold a tickets.log and shard lines with a "timestamps" key
-    clean = spec_for(tmp_path / "clean", 8, ticket_depth=4)
-    run_search(clean)
-    old = spec_for(tmp_path / "old", 8, ticket_depth=4)
-    run_search(old)
-    shard_dir = os.path.join(old.out_dir, "shards")
+    spec = spec_for(tmp_path / "old", 8, ticket_depth=4)
+    run_search(spec)
+    catalog = os.path.join(spec.out_dir, "catalog.jsonl")
+    clean = open(catalog, "rb").read()
+    os.remove(catalog)
+    shard_dir = os.path.join(spec.out_dir, "shards")
     keys = []
     for name in sorted(os.listdir(shard_dir)):
         n, ticket = name[: -len(".jsonl")].split("_")
-        keys.append(f"{n}/{ticket.replace('-', ':')}")
+        keys.append(f"{n}/{ticket.replace('-', ':')}\n")
         path = os.path.join(shard_dir, name)
-        lines = [
-            json.dumps({**json.loads(line), "timestamps": {"created": "2026-01-01T00:00:00Z"}},
-                       sort_keys=True)
-            for line in open(path)
-        ]
-        open(path, "w").write("".join(line + "\n" for line in lines))
-    open(os.path.join(old.out_dir, "tickets.log"), "w").write("".join(k + "\n" for k in keys))
-    resumed = run_search(old)
+        stamp = {"timestamps": {"created": "2026-01-01T00:00:00Z"}}
+        lines = [json.dumps({**json.loads(line), **stamp}, sort_keys=True) for line in open(path)]
+        open(path, "w").writelines(line + "\n" for line in lines)
+    open(os.path.join(spec.out_dir, "tickets.log"), "w").writelines(keys)
+    resumed = run_search(spec)
     assert resumed["tickets_processed"] == 0 and resumed["complete"]
-    c1 = open(os.path.join(clean.out_dir, "catalog.jsonl"), "rb").read()
-    c2 = open(os.path.join(old.out_dir, "catalog.jsonl"), "rb").read()
-    assert c1 == c2
+    assert open(catalog, "rb").read() == clean
 
 
 def test_every_job_file_is_synced_before_rename(tmp_path, monkeypatch):
