@@ -55,7 +55,7 @@ from .constraints import (
     build_constraint_system,
     contract_explain,
 )
-from .intervals import Interval, IntervalBox, WidthUnderflow, bisect
+from .intervals import IntervalBox, WidthUnderflow, bisect
 from .embedding import (
     Inconclusive,
     ProvedEmbeddable,

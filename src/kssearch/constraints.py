@@ -53,7 +53,6 @@ class ConstraintSystem:
     delta: float
     pinned: tuple[tuple[int, tuple[int, int, int]], ...]  # (vertex, axis vector)
     free: tuple[int, ...]
-    norm_slots: tuple[int, ...]
     coord_zero: tuple[tuple[int, int], ...]  # (slot, coordinate) = 0
     dot_pairs: tuple[tuple[int, int], ...]  # free-free edges, by slot
     sep_pairs: tuple[tuple[int, int], ...]  # free-free non-adjacent, by slot
@@ -128,7 +127,6 @@ def build_constraint_system(g: Graph, delta: float = DEFAULT_DELTA) -> Constrain
         delta=delta,
         pinned=pinned,
         free=free,
-        norm_slots=tuple(range(len(free))),
         coord_zero=tuple(sorted(coord_zero)),
         dot_pairs=tuple(sorted(dot_pairs)),
         sep_pairs=tuple(sorted(sep_pairs)),
@@ -179,8 +177,9 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
 
     The box's endpoints are copied into two lists, ``lo`` and ``hi``, and
     narrowed in place.  Each step performs the float operations of the
-    ``Interval`` arithmetic, in the same order: a sum of products starts from
-    0.0 as ``ZERO + p0 + p1 + p2`` did, products and squares go through
+    interval-object oracle in ``tests/test_interval_kernels.py``, in the same
+    order: a sum of products starts from 0.0 as the oracle's
+    ``ZERO + p0 + p1 + p2`` does, products and squares go through
     :func:`mul` and :func:`sqr`, and intersections keep ``max``/``min``'s
     argument order, so signed zeros come out the same.  The outward rounding
     of sums is ``nextafter`` written out.  It equals the guarded
@@ -240,7 +239,7 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
         lo[i] = hi[i] = 0.0
 
     # unit norms: each coordinate's square lies in 1 minus the other two
-    for s in cs.norm_slots:
+    for s in range(len(cs.free)):
         base = 3 * s
         sq = [sqr(lo[i], hi[i]) for i in (base, base + 1, base + 2)]
         tl = nx(nx(sq[0][0] + sq[1][0], ninf) + sq[2][0], ninf)

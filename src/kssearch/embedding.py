@@ -89,9 +89,9 @@ class ProvedUnembeddable:
 
 @dataclass(frozen=True)
 class ProvedEmbeddable:
-    """Existence certificate plus strict pairwise distinctness on the box."""
+    """Existence certificate plus strict pairwise distinctness on its
+    refined box; no certificate for a graph without edges."""
 
-    box: IntervalBox | None
     certificate: KrawczykCertificate | None
     stats: SolverStats
 
@@ -138,7 +138,7 @@ class NewtonResult:
 
 def _equations(cs: ConstraintSystem):
     """Fixed equation order: norms, coordinate zeros, free-free dots."""
-    eqs = [("norm", s) for s in cs.norm_slots]
+    eqs = [("norm", s) for s in range(len(cs.free))]
     eqs += [("coord", s, c) for s, c in cs.coord_zero]
     eqs += [("dot", s, t) for s, t in cs.dot_pairs]
     return eqs
@@ -170,36 +170,26 @@ def _residuals_at(cs: ConstraintSystem, eqs, pt) -> tuple[list[float], list[floa
     return rlo, rhi
 
 
-def _float_residuals(cs: ConstraintSystem, eqs, pt: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(eqs))
+def _float_system(cs: ConstraintSystem, eqs, pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals and the Jacobian of the equations at a float point."""
+    f = np.zeros(len(eqs))
+    jac = np.zeros((len(eqs), cs.num_vars))
     for i, eq in enumerate(eqs):
         if eq[0] == "norm":
             s = eq[1]
-            out[i] = pt[3 * s] ** 2 + pt[3 * s + 1] ** 2 + pt[3 * s + 2] ** 2 - 1.0
-        elif eq[0] == "coord":
-            out[i] = pt[3 * eq[1] + eq[2]]
-        else:
-            s, t = eq[1], eq[2]
-            out[i] = sum(pt[3 * s + c] * pt[3 * t + c] for c in range(3))
-    return out
-
-
-def _float_jacobian(cs: ConstraintSystem, eqs, pt: np.ndarray) -> np.ndarray:
-    nv = cs.num_vars
-    jac = np.zeros((len(eqs), nv))
-    for i, eq in enumerate(eqs):
-        if eq[0] == "norm":
-            s = eq[1]
+            f[i] = pt[3 * s] ** 2 + pt[3 * s + 1] ** 2 + pt[3 * s + 2] ** 2 - 1.0
             for c in range(3):
                 jac[i, 3 * s + c] = 2.0 * pt[3 * s + c]
         elif eq[0] == "coord":
+            f[i] = pt[3 * eq[1] + eq[2]]
             jac[i, 3 * eq[1] + eq[2]] = 1.0
         else:
             s, t = eq[1], eq[2]
+            f[i] = sum(pt[3 * s + c] * pt[3 * t + c] for c in range(3))
             for c in range(3):
                 jac[i, 3 * s + c] = pt[3 * t + c]
                 jac[i, 3 * t + c] = pt[3 * s + c]
-    return jac
+    return f, jac
 
 
 def choose_slices(cs: ConstraintSystem, pt: np.ndarray) -> tuple[tuple[int, float], ...]:
@@ -213,7 +203,7 @@ def choose_slices(cs: ConstraintSystem, pt: np.ndarray) -> tuple[tuple[int, floa
     need = cs.num_vars - len(eqs)
     if need <= 0:
         return ()
-    jac = _float_jacobian(cs, eqs, pt)
+    jac = _float_system(cs, eqs, pt)[1]
     _u, sv, vt = np.linalg.svd(jac) if len(eqs) else (None, np.zeros(0), np.eye(cs.num_vars))
     rank = int((sv > 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)).sum())
     basis = vt[rank:].T.copy()  # (nv, k) nullspace basis
@@ -237,11 +227,12 @@ def _krawczyk_image(cs: ConstraintSystem, eqs, lo: list[float], hi: list[float],
     """K(cur) = mid - C f(mid) + (I - C J(cur))(cur - mid) on float endpoints.
 
     ``cur`` is [lo[i], hi[i]] per variable; returns the image as (lo, hi)
-    lists, or a str on failure.  The arithmetic is the ``Interval``
-    arithmetic written out on endpoints, in the same order: every sum starts
-    from 0.0, scaling an interval by a matrix entry k multiplies both ends by
-    k (swapping them when k < 0) and rounds each outward, and a zero Jacobian
-    entry still adds its scaled [0, 0], one ulp either side of zero.
+    lists, or a str on failure.  The float operations are those of the
+    interval-object oracle in ``tests/test_interval_kernels.py``, in the
+    same order: every sum starts from 0.0, scaling an interval by a matrix
+    entry k multiplies both ends by k (swapping them when k < 0) and rounds
+    each outward, and a zero Jacobian entry still adds its scaled [0, 0], one
+    ulp either side of zero.
     """
     nv = cs.num_vars
     mid = [midpoint(a, b) for a, b in zip(lo, hi)]
@@ -342,7 +333,7 @@ def prove_root_in_box(
         if isinstance(image, str):
             return NewtonResult(None, image)
         klo, khi = image
-        # the image's endpoints cut with the box's, as Interval.intersect does
+        # the image's endpoints cut with the box's
         cut_lo = tuple(map(max, klo, lo))
         cut_hi = tuple(map(min, khi, hi))
         if all(a < ka and kb < b for a, b, ka, kb in zip(lo, hi, klo, khi)):
@@ -406,10 +397,9 @@ def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem):
 def _polish(cs: ConstraintSystem, eqs, start: np.ndarray, iters: int = 40):
     x = start.astype(float).copy()
     for _ in range(iters):
-        f = _float_residuals(cs, eqs, x)
+        f, jac = _float_system(cs, eqs, x)
         if np.max(np.abs(f)) < 1e-13:
             break
-        jac = _float_jacobian(cs, eqs, x)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         x = x + step
         if np.max(np.abs(step)) < 1e-15:
@@ -433,8 +423,8 @@ def decide_embeddability(
 
     ProvedUnembeddable(delta): no embedding with all pairwise projective
     separations >= delta exists (the delta caveat is part of the verdict).
-    ProvedEmbeddable: Krawczyk certificate plus strict distinctness over the
-    certified box.  Budget exhaustion yields Inconclusive with residual
+    ProvedEmbeddable: Krawczyk certificate plus strict distinctness over its
+    refined box.  Budget exhaustion yields Inconclusive with residual
     boxes, serializable for resume.  Budget is counted in contraction steps
     (sweeps), so verdicts are machine-independent.
 
@@ -463,7 +453,7 @@ def decide_embeddability(
     try:
         cs = build_constraint_system(g, delta)
     except NoEdgesError:
-        return ProvedEmbeddable(None, None, mkstats())
+        return ProvedEmbeddable(None, mkstats())
 
     init = cs.initial_box()
     for k, b in enumerate(resume_boxes or ()):
@@ -473,8 +463,7 @@ def decide_embeddability(
 
     if cs.num_vars == 0:
         # pinned triple satisfies everything exactly
-        empty = IntervalBox((), ())
-        return ProvedEmbeddable(empty, KrawczykCertificate(empty, empty, (), 0), mkstats())
+        return ProvedEmbeddable(prove_root_in_box(init, cs).certificate, mkstats())
 
     eqs = _equations(cs)
     frontier: list[tuple[float, int, IntervalBox]] = []
@@ -518,12 +507,12 @@ def decide_embeddability(
         if box.max_width < NEWTON_MAX_WIDTH:
             stats["newton_attempts"] += 1
             polished = _polish(cs, eqs, np.array(box.midpoint()))
-            if np.max(np.abs(_float_residuals(cs, eqs, polished))) < 1e-9:
+            if np.max(np.abs(_float_system(cs, eqs, polished)[0])) < 1e-9:
                 for eps in (1e-7, 1e-5, 1e-3):
                     seed = IntervalBox(tuple(polished - eps), tuple(polished + eps))
                     res = prove_root_in_box(seed, cs, "auto")
                     if res and check_distinctness(cs, res.certificate.refined):
-                        return ProvedEmbeddable(res.certificate.refined, res.certificate, mkstats())
+                        return ProvedEmbeddable(res.certificate, mkstats())
 
         try:
             left, right = bisect(box)
@@ -564,8 +553,19 @@ def checkpoint_to_json(g: Graph, delta: float, verdict: Inconclusive) -> str:
 
 
 def checkpoint_from_json(text: str):
+    """(graph6, delta, boxes) of one checkpoint line; ValueError naming the
+    field unless the line is a JSON object with version, a string graph6, a
+    number delta and a list of boxes."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("checkpoint line is not a JSON object")
     if data.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-    boxes = [IntervalBox.from_lists(b) for b in data["boxes"]]
-    return data["graph6"], data["delta"], boxes
+    g6, delta, boxes = data.get("graph6"), data.get("delta"), data.get("boxes")
+    if not isinstance(g6, str):
+        raise ValueError(f"checkpoint graph6 {g6!r} is not a string")
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+        raise ValueError(f"checkpoint delta {delta!r} is not a number")
+    if not isinstance(boxes, list) or not all(isinstance(b, list) for b in boxes):
+        raise ValueError("checkpoint boxes are not a list of boxes")
+    return g6, delta, [IntervalBox.from_lists(b) for b in boxes]

@@ -1,9 +1,13 @@
 """Outward-rounded interval arithmetic and axis-aligned boxes.
 
-Every endpoint operation is computed in double precision and then pushed one
-ulp outward, so an interval result always encloses the true real result
-(round-to-nearest error is below one ulp).  A Fraction-based exact mirror of
-the same evaluations backs the on-demand shadow re-check of refutations.
+An interval is a (lo, hi) pair of floats and a box is a tuple of lower and a
+tuple of upper endpoints.  Every endpoint operation is computed in double
+precision and then pushed one ulp outward, so an interval result always
+encloses the true real result (round-to-nearest error is below one ulp).
+``tests/test_interval_kernels.py`` keeps an independent interval-object
+oracle that these helpers and the solver's kernels must match bit for bit.
+A Fraction-based exact mirror, :class:`QInterval`, backs the on-demand shadow
+re-check of refutations.
 """
 
 from __future__ import annotations
@@ -26,59 +30,11 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF) if x != -_INF else x
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(v: float) -> "Interval":
-        return Interval(v, v)
-
-    def __repr__(self):
-        return f"[{self.lo!r}, {self.hi!r}]"
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_dn(self.lo + other.lo), _up(self.hi + other.hi))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_dn(self.lo - other.hi), _up(self.hi - other.lo))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(*mul(self.lo, self.hi, other.lo, other.hi))
-
-    def sqr(self) -> "Interval":
-        return Interval(*sqr(self.lo, self.hi))
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-
 # ---------------------------------------------------------------------------
-# Float-endpoint helpers: an interval is a (lo, hi) pair of floats
+# Float-endpoint helpers
 #
-# The solver works on these, not on Interval objects; a box is a tuple of
-# lower and a tuple of upper endpoints.  ``min`` and ``max`` are written out:
-# ``b if b < a else a`` is ``min(a, b)``, ties and signed zeros included, and
-# costs a fraction of the builtin call.
+# ``min`` and ``max`` are written out: ``b if b < a else a`` is ``min(a, b)``,
+# ties and signed zeros included, and costs a fraction of the builtin call.
 
 def midpoint(lo: float, hi: float) -> float:
     """Midpoint of [lo, hi], clamped into it (halves first on overflow)."""

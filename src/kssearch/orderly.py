@@ -23,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import (
+    ENUM_MAX_VERTICES,
     Graph,
     code_from_hex,
     code_to_hex,
@@ -407,7 +408,7 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
     k = prefix.n
     rows = prefix.rows
     restrict = filters.connected
-    if k >= 64 or (restrict and not is_connected(prefix)):
+    if k >= ENUM_MAX_VERTICES or (restrict and not is_connected(prefix)):
         return []
     n = k + 1
     cols = _identity_columns(k, rows)
@@ -557,8 +558,8 @@ def enumerate_graphs(
     enumeration never reaches (not canonical, or failing a filter) raises
     ValueError rather than yielding nothing.
     """
-    if not 1 <= n_target <= 64:
-        raise ValueError("n_target outside 1..64")
+    if not 1 <= n_target <= ENUM_MAX_VERTICES:
+        raise ValueError(f"n_target outside 1..{ENUM_MAX_VERTICES}")
     if ticket is None:
         start = Graph(1, (0,))
     else:

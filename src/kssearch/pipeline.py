@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 from .graphs import (
+    ENUM_MAX_VERTICES,
     Graph,
     every_vertex_in_triangle,
     graph6_encode,
@@ -50,8 +51,8 @@ class JobSpec:
     workers: int = 1
 
     def validate(self) -> None:
-        if not 1 <= self.n_min <= self.n_max <= 64:
-            raise ValueError("n range must satisfy 1 <= n_min <= n_max <= 64")
+        if not 1 <= self.n_min <= self.n_max <= ENUM_MAX_VERTICES:
+            raise ValueError(f"n range must satisfy 1 <= n_min <= n_max <= {ENUM_MAX_VERTICES}")
         if self.ticket_depth < 1:
             raise ValueError("ticket depth must be positive")
         if self.workers < 1:

@@ -13,66 +13,22 @@ distinctness of non-adjacent images is exactly direction distinctness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Graph
 
 Key = tuple[tuple[int, int], ...]  # sorted ((var, exponent), ...)
+# a residual as a sum of terms (coefficient, variables of its monomial)
+Residual = list[tuple[int, tuple[int, ...]]]
 
 
-class _Poly:
-    """Sparse integer-coefficient polynomial over indexed variables."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Key, int] | None = None):
-        self.terms = terms or {}
-
-    @staticmethod
-    def const(c: int) -> "_Poly":
-        return _Poly({(): c} if c else {})
-
-    @staticmethod
-    def var(i: int) -> "_Poly":
-        return _Poly({((i, 1),): 1})
-
-    def __add__(self, other: "_Poly") -> "_Poly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            elif k in out:
-                del out[k]
-        return _Poly(out)
-
-    def __sub__(self, other: "_Poly") -> "_Poly":
-        return self + _Poly({k: -c for k, c in other.terms.items()})
-
-    def __mul__(self, other: "_Poly") -> "_Poly":
-        out: dict[Key, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                exps: dict[int, int] = {}
-                for v, e in k1:
-                    exps[v] = exps.get(v, 0) + e
-                for v, e in k2:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                nc = out.get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                elif key in out:
-                    del out[key]
-        return _Poly(out)
-
-    def sqr(self) -> "_Poly":
-        return self * self
-
-    @property
-    def degree(self) -> int:
-        return max((sum(e for _, e in k) for k in self.terms), default=0)
+def _add_square(total: dict[Key, int], residual: Residual) -> None:
+    """total += residual^2, one product of terms at a time."""
+    for c1, m1 in residual:
+        for c2, m2 in residual:
+            key = tuple(sorted(Counter(m1 + m2).items()))
+            total[key] = total.get(key, 0) + c1 * c2
 
 
 @dataclass(frozen=True)
@@ -166,28 +122,22 @@ def export_polynomial(g: Graph) -> EmbeddingPolynomial:
                 t = add_var(f"t{a}_{b}", f"reciprocal of d{a}_{b}: t*d = 1")
                 pair_aux[(a, b)] = (d, t)
 
-    V = _Poly.var
-    one = _Poly.const(1)
-    total = _Poly.const(0)
-
+    total: dict[Key, int] = {}
     for v in range(g.n):
-        x, y, z = (V(i) for i in coords[v])
-        total = total + (x * x + y * y + z * z - one).sqr()
+        _add_square(total, [(1, (i, i)) for i in coords[v]] + [(-1, ())])
     for a, b in g.edges():
-        dot = _Poly.const(0)
-        for i, j in zip(coords[a], coords[b]):
-            dot = dot + V(i) * V(j)
-        total = total + dot.sqr()
+        _add_square(total, [(1, ij) for ij in zip(coords[a], coords[b])])
     for v in range(g.n):
-        u, w = (V(i) for i in hemis[v])
-        z = V(coords[v][2])
-        total = total + (u * w - one).sqr() + (u * u - z).sqr()
+        u, w = hemis[v]
+        _add_square(total, [(1, (u, w)), (-1, ())])
+        _add_square(total, [(1, (u, u)), (-1, (coords[v][2],))])
     for (a, b), (d, t) in pair_aux.items():
-        dist = _Poly.const(0)
+        # d - sum over axes of (p_a - p_b)^2
+        dist = [(1, (d,))]
         for i, j in zip(coords[a], coords[b]):
-            diff = V(i) - V(j)
-            dist = dist + diff * diff
-        dvar, tvar = V(d), V(t)
-        total = total + (dvar - dist).sqr() + (tvar * dvar - one).sqr()
+            dist += [(-1, (i, i)), (2, (i, j)), (-1, (j, j))]
+        _add_square(total, dist)
+        _add_square(total, [(1, (t, d)), (-1, ())])
 
-    return EmbeddingPolynomial(tuple(names), total.terms, legend)
+    terms = {k: c for k, c in total.items() if c}
+    return EmbeddingPolynomial(tuple(names), terms, legend)

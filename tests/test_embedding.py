@@ -56,7 +56,7 @@ def test_no_edges_signalled():
     with pytest.raises(NoEdgesError):
         build_constraint_system(Graph(2, (0, 0)))
     v = decide_embeddability(Graph(1, (0,)))
-    assert isinstance(v, ProvedEmbeddable)
+    assert isinstance(v, ProvedEmbeddable) and v.certificate is None
 
 
 def test_every_edge_contributes_one_equation():
@@ -87,7 +87,7 @@ def test_contract_fixed_point_of_solution():
 def test_contract_norm_narrowing():
     g = Graph.from_edges(2, [(0, 1)])
     cs = ConstraintSystem(
-        graph=g, delta=1e-4, pinned=(), free=(0,), norm_slots=(0,),
+        graph=g, delta=1e-4, pinned=(), free=(0,),
         coord_zero=(), dot_pairs=(), sep_pairs=(), sep_coords=(),
     )
     box = IntervalBox((0.8, 0.0, 0.0), (0.9, 0.0, 1.0))
@@ -184,6 +184,10 @@ def test_delta_floor_enforced():
 def test_k3_embeddable():
     v = decide_embeddability(K3)
     assert isinstance(v, ProvedEmbeddable)
+    # the certificate of the constant system, with nothing left free
+    cs = build_constraint_system(K3)
+    assert v.certificate == prove_root_in_box(cs.initial_box(), cs).certificate
+    assert len(v.certificate.refined) == 0 and v.certificate.iterations == 0
 
 
 def test_k13_certificate_from_seed_box():

@@ -6,10 +6,14 @@ earlier implementation on ``Interval`` objects, kept only as the oracle: it
 turns each box into ``Interval`` objects itself, and the kernels must
 reproduce it bit for bit (``float.hex``), refutation kind, detail and
 snapshot included, on random sub-boxes of the constraint systems' initial
-boxes.
+boxes.  The oracle's ``Interval`` and its outward rounding are defined here,
+so it shares no arithmetic with the kernels it checks.  The float residuals
+and Jacobian of the Newton step are checked the same way against the two
+separate functions they replaced.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,6 +27,7 @@ from kssearch.constraints import (
 )
 from kssearch.embedding import (
     _equations,
+    _float_system,
     _krawczyk_image,
     _polish,
     check_distinctness,
@@ -30,7 +35,6 @@ from kssearch.embedding import (
 )
 from kssearch.graphs import Graph, graph6_decode
 from kssearch.intervals import (
-    Interval,
     IntervalBox,
     WidthUnderflow,
     _dn as kernel_dn,
@@ -48,8 +52,6 @@ from kssearch.orderly import enumerate_graphs
 # ---------------------------------------------------------------------------
 # Oracle: the Interval-object sweep and Krawczyk image
 
-ZERO = Interval(0.0, 0.0)
-ONE = Interval(1.0, 1.0)
 _INF = math.inf
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
@@ -60,6 +62,46 @@ def _dn(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF) if math.isfinite(x) else x
+
+
+@dataclass(frozen=True, slots=True)
+class Interval:
+    """A closed interval; sums and differences round outward by one ulp."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @staticmethod
+    def point(v: float) -> "Interval":
+        return Interval(v, v)
+
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(_dn(self.lo + other.lo), _up(self.hi + other.hi))
+
+    def __sub__(self, other: "Interval") -> "Interval":
+        return Interval(_dn(self.lo - other.hi), _up(self.hi - other.lo))
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0.0 <= self.hi
+
+    def intersect(self, other: "Interval") -> "Interval | None":
+        lo = max(self.lo, other.lo)
+        hi = min(self.hi, other.hi)
+        return Interval(lo, hi) if lo <= hi else None
+
+    def hull(self, other: "Interval") -> "Interval":
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+
+
+ZERO = Interval(0.0, 0.0)
+ONE = Interval(1.0, 1.0)
 
 
 def to_ivs(box: IntervalBox) -> list:
@@ -176,7 +218,7 @@ def ref_sweep(box: IntervalBox, cs) -> IntervalBox:
             fail("coord-zero", (s, c))
         ivs[i] = ZERO
 
-    for s in cs.norm_slots:
+    for s in range(len(cs.free)):
         base = 3 * s
         sq = [ref_sqr(ivs[base + c]) for c in range(3)]
         total = sq[0] + sq[1] + sq[2]
@@ -276,6 +318,37 @@ def ref_krawczyk_image(cs, eqs, box: IntervalBox, slices):
             acc = acc + ref_mul(mij, delta_iv[j])
         newbox.append(acc)
     return newbox
+
+
+def ref_float_residuals(cs, eqs, pt: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(eqs))
+    for i, eq in enumerate(eqs):
+        if eq[0] == "norm":
+            s = eq[1]
+            out[i] = pt[3 * s] ** 2 + pt[3 * s + 1] ** 2 + pt[3 * s + 2] ** 2 - 1.0
+        elif eq[0] == "coord":
+            out[i] = pt[3 * eq[1] + eq[2]]
+        else:
+            s, t = eq[1], eq[2]
+            out[i] = sum(pt[3 * s + c] * pt[3 * t + c] for c in range(3))
+    return out
+
+
+def ref_float_jacobian(cs, eqs, pt: np.ndarray) -> np.ndarray:
+    jac = np.zeros((len(eqs), cs.num_vars))
+    for i, eq in enumerate(eqs):
+        if eq[0] == "norm":
+            s = eq[1]
+            for c in range(3):
+                jac[i, 3 * s + c] = 2.0 * pt[3 * s + c]
+        elif eq[0] == "coord":
+            jac[i, 3 * eq[1] + eq[2]] = 1.0
+        else:
+            s, t = eq[1], eq[2]
+            for c in range(3):
+                jac[i, 3 * s + c] = pt[3 * t + c]
+                jac[i, 3 * t + c] = pt[3 * s + c]
+    return jac
 
 
 def ref_check_distinctness(cs, box: IntervalBox) -> bool:
@@ -387,17 +460,29 @@ def test_contract_explain_matches_interval_oracle(case):
         assert _hex(got) == _hex(want)
 
 
+def assert_float_system_matches(cs, eqs, pt) -> None:
+    """_float_system against the two functions it replaced, by float.hex."""
+    f, jac = _float_system(cs, eqs, pt)
+    want_f, want_jac = ref_float_residuals(cs, eqs, pt), ref_float_jacobian(cs, eqs, pt)
+    assert f.shape == want_f.shape and jac.shape == want_jac.shape
+    assert [float(v).hex() for v in f] == [float(v).hex() for v in want_f]
+    assert [float(v).hex() for v in jac.flat] == [float(v).hex() for v in want_jac.flat]
+
+
 @settings(max_examples=300, deadline=None)
 @given(sub_boxes(), st.sampled_from([None, 1e-9, 1e-7, 1e-5, 1e-3, 0.1]))
 def test_krawczyk_image_matches_interval_oracle(case, eps):
     """On the sub-box itself, or on a box of radius eps around the
-    Gauss-Newton polish of its midpoint, as the solver builds them."""
+    Gauss-Newton polish of its midpoint, as the solver builds them.  The
+    float system is checked at that midpoint and at its polish."""
     cs, box = case
     if cs.num_vars == 0:
         return  # prove_root_in_box answers a constant system itself
     eqs = _equations(cs)
+    assert_float_system_matches(cs, eqs, np.array(box.midpoint()))
     if eps is not None:
         polished = _polish(cs, eqs, np.array(box.midpoint()))
+        assert_float_system_matches(cs, eqs, polished)
         if not np.all(np.isfinite(polished)):
             return
         box = IntervalBox(tuple(polished - eps), tuple(polished + eps))

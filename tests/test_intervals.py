@@ -1,4 +1,4 @@
-"""Interval arithmetic enclosure properties, division, bisection."""
+"""Enclosure properties of the float-endpoint helpers, division, bisection."""
 
 import math
 import random
@@ -8,46 +8,52 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from kssearch.intervals import (
-    Interval,
     IntervalBox,
     WidthUnderflow,
+    _dn,
+    _up,
     bisect,
     extended_div,
     isqrt_nonneg,
+    mul,
     narrow_by_div,
+    sqr,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 def iv(a, b):
-    return Interval(min(a, b), max(a, b))
-
-
-@given(finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
-def test_add_sub_mul_enclosure(a, b, c, d, t1, t2):
-    x = iv(a, b)
-    y = iv(c, d)
-    px = x.lo + t1 * (x.hi - x.lo)
-    py = y.lo + t2 * (y.hi - y.lo)
-    px = min(max(px, x.lo), x.hi)
-    py = min(max(py, y.lo), y.hi)
-    assert (x + y).contains(px + py)
-    assert (x - y).contains(px - py)
-    assert (x * y).contains(px * py)
-    assert x.sqr().contains(px * px)
+    return (a, b) if a <= b else (b, a)
 
 
 def contains(pair, v) -> bool:
     return pair[0] <= v <= pair[1]
 
 
+def point_in(pair, t):
+    lo, hi = pair
+    return min(max(lo + t * (hi - lo), lo), hi)
+
+
+@given(finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
+def test_add_sub_mul_enclosure(a, b, c, d, t1, t2):
+    """Sums rounded outward with _dn/_up, as the sweep and the Krawczyk
+    image round them, and the mul and sqr helpers enclose point results."""
+    x, y = iv(a, b), iv(c, d)
+    px, py = point_in(x, t1), point_in(y, t2)
+    assert contains((_dn(x[0] + y[0]), _up(x[1] + y[1])), px + py)
+    assert contains((_dn(x[0] - y[1]), _up(x[1] - y[0])), px - py)
+    assert contains(mul(*x, *y), px * py)
+    assert contains(sqr(*x), px * px)
+
+
 @given(finite, finite)
 def test_sqrt_enclosure(a, b):
     x = iv(abs(a), abs(b))
-    r = isqrt_nonneg(x.lo, x.hi)
+    r = isqrt_nonneg(*x)
     assert r is not None
-    mid = 0.5 * (x.lo + x.hi)
+    mid = 0.5 * (x[0] + x[1])
     assert contains(r, math.sqrt(mid))
 
 
@@ -70,14 +76,12 @@ def test_extended_division_cases():
 
 @given(finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
 def test_extended_division_enclosure(a, b, c, d, t1, t2):
-    num = iv(a, b)
-    den = iv(c, d)
-    pn = min(max(num.lo + t1 * (num.hi - num.lo), num.lo), num.hi)
-    pd = min(max(den.lo + t2 * (den.hi - den.lo), den.lo), den.hi)
+    num, den = iv(a, b), iv(c, d)
+    pn, pd = point_in(num, t1), point_in(den, t2)
     if pd == 0:
         return
     q = pn / pd
-    pieces = extended_div(num.lo, num.hi, den.lo, den.hi)
+    pieces = extended_div(*num, *den)
     assert any(contains(p, q) for p in pieces)
 
 
@@ -113,10 +117,12 @@ def test_bisect_children_cover_parent():
         if b.max_width == 0:
             continue
         l, r = bisect(b)
-        for i in range(dims):
-            assert l.lo[i] >= b.lo[i] and r.hi[i] <= b.hi[i]
-            hull = Interval(l.lo[i], l.hi[i]).hull(Interval(r.lo[i], r.hi[i]))
-            assert hull == Interval(b.lo[i], b.hi[i])
+        # the children meet at the split and match the parent elsewhere
+        (i,) = [k for k in range(dims) if l.hi[k] != b.hi[k]]
+        assert l.lo == b.lo and r.hi == b.hi
+        assert l.hi[:i] + l.hi[i + 1 :] == b.hi[:i] + b.hi[i + 1 :]
+        assert r.lo[:i] + r.lo[i + 1 :] == b.lo[:i] + b.lo[i + 1 :]
+        assert b.lo[i] < l.hi[i] == r.lo[i] < b.hi[i]
 
 
 def test_bisect_width_underflow():
@@ -164,14 +170,15 @@ def eval_poly_float(terms, pt):
 
 
 def eval_poly_interval(terms, box):
-    total = Interval(0.0, 0.0)
+    """Products through mul, the sum rounded outward with _dn/_up."""
+    lo = hi = 0.0
     for coeff, exps in terms:
-        term = Interval(float(coeff), float(coeff))
+        tl = th = float(coeff)
         for x, e in zip(box, exps):
             for _ in range(e):
-                term = term * x
-        total = total + term
-    return total
+                tl, th = mul(tl, th, *x)
+        lo, hi = _dn(lo + tl), _up(hi + th)
+    return lo, hi
 
 
 def test_enclosure_random_degree4_polynomials():
@@ -181,8 +188,7 @@ def test_enclosure_random_degree4_polynomials():
         nvars = rng.randint(1, 4)
         terms = random_poly(rng, nvars, rng.randint(1, 5))
         box = [iv(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(nvars)]
-        pt = [rng.uniform(b.lo, b.hi) for b in box]
+        pt = [rng.uniform(*b) for b in box]
         val = eval_poly_float(terms, pt)
-        enc = eval_poly_interval(terms, box)
-        assert enc.lo <= val <= enc.hi
+        assert contains(eval_poly_interval(terms, box), val)
         trials += 1

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from kssearch.graphs import Graph, encode_upper_triangle, graph_from_code, is_connected
+from kssearch.graphs import (
+    ENUM_MAX_VERTICES,
+    Graph,
+    encode_upper_triangle,
+    graph_from_code,
+    is_connected,
+)
 from kssearch.grids import get_grid, minimize_uncolourable
 from kssearch.orderly import (
     DEFAULT_NODE_LIMIT,
@@ -424,6 +430,14 @@ def test_ticket_outside_enumeration_rejected():
     # the same prefixes are fine where no filter excludes them
     assert list(enumerate_graphs(4, Filters(True, False), SubtreeTicket(canonical_label(edge_12))))
     assert list(enumerate_graphs(4, Filters(False, True), SubtreeTicket(canonical_label(c4))))
+
+
+def test_enumeration_cap():
+    with pytest.raises(ValueError, match=f"1..{ENUM_MAX_VERTICES}"):
+        list(enumerate_graphs(ENUM_MAX_VERTICES + 1))
+    # a prefix at the cap has no extensions, whatever the filters
+    at_cap = Graph(ENUM_MAX_VERTICES, (0,) * ENUM_MAX_VERTICES)
+    assert extend(at_cap, Filters(square_free=False, connected=False)) == []
 
 
 def test_ticket_id_roundtrip():

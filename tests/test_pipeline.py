@@ -10,7 +10,7 @@ import pytest
 
 from kssearch.catalog import CatalogRecord, compact, read_records
 from kssearch.constraints import MIN_DELTA
-from kssearch.graphs import Graph, graph6_encode
+from kssearch.graphs import ENUM_MAX_VERTICES, Graph, graph6_encode
 from kssearch.orderly import CanonicalBudgetExceeded
 from kssearch.pipeline import (
     JobSpec,
@@ -39,6 +39,9 @@ def test_jobspec_validation():
         with pytest.raises(ValueError):
             JobSpec(n_min=1, n_max=3, out_dir="x", interval_budget=budget).validate()
     JobSpec(n_min=1, n_max=3, out_dir="x", interval_budget=1).validate()
+    JobSpec(n_min=1, n_max=ENUM_MAX_VERTICES, out_dir="x").validate()
+    with pytest.raises(ValueError, match=f"<= {ENUM_MAX_VERTICES}"):
+        JobSpec(n_min=1, n_max=ENUM_MAX_VERTICES + 1, out_dir="x").validate()
     spec = JobSpec(n_min=1, n_max=3, out_dir="x")
     assert JobSpec.from_json(spec.to_json()) == spec
 
@@ -438,6 +441,28 @@ def test_cli_embed_interval_rejects_bad_checkpoint_boxes(tmp_path, boxes, messag
     ckpt.write_text(json.dumps(data) + "\n")
     r = cli("embed-interval", "--resume", str(ckpt), input=p4 + "\n")
     assert r.returncode == 1 and r.stdout == "" and message in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"version": 1, "graph6": "Cl"}', "delta"),  # was a KeyError
+        ('{"version": 1, "graph6": "Cl", "boxes": []}', "delta"),
+        ('{"version": 1, "graph6": "Cl", "delta": 0.0001}', "boxes"),
+        ("[1]", "JSON object"),  # was an AttributeError
+        ('"x"', "JSON object"),
+        ('{"version": 1, "graph6": "Cl", "delta": 0.0001, "boxes": 5}', "boxes"),  # was a TypeError
+        ('{"version": 1, "graph6": "Cl", "delta": 0.0001, "boxes": [5]}', "boxes"),
+        ('{"version": 1, "graph6": 7, "delta": 0.0001, "boxes": []}', "graph6"),
+        ('{"version": 1, "graph6": "Cl", "delta": "0.0001", "boxes": []}', "delta"),
+    ],
+)
+def test_cli_embed_interval_rejects_malformed_checkpoint_line(tmp_path, line, message):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(line + "\n")
+    r = cli("embed-interval", "--resume", str(ckpt), input="Cl\n")
+    assert r.returncode == 1 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith("error:") and message in r.stderr, r.stderr
 
 
 def test_cli_embed_interval_checkpoints_every_inconclusive_input(tmp_path):
