@@ -45,10 +45,14 @@ class CatalogRecord:
         f = self.flags
         if f.get("three_colourable") and not f.get("colourable_101"):
             out.append("3-colourable record not marked 101-colourable")
-        if self.grid.get("embedded_n") is not None and not f.get("four_colourable"):
+        embedded = self.grid.get("embedded_n") is not None
+        if embedded and not f.get("four_colourable"):
             out.append("grid-embedded record not marked 4-colourable")
-        if self.grid.get("embedded_n") is not None and not f.get("square_free"):
+        if embedded and not f.get("square_free"):
             out.append("grid-embedded record not marked square-free")
+        if embedded and (self.interval or {}).get("verdict") == "unembeddable":
+            # an exact embedding and a refutation cannot both hold
+            out.append("grid-embedded record carries an interval refutation")
         return out
 
     def to_json(self) -> str:

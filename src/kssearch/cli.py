@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--filters", default="square-free,connected")
     pp.add_argument("--grid-n", default=",".join(str(g) for g in DEFAULT_GRID_LADDER),
                     help="comma-separated grid ladder")
-    pp.add_argument("--budget", type=int, default=DEFAULT_INTERVAL_BUDGET)
+    pp.add_argument("--budget", type=int, default=DEFAULT_INTERVAL_BUDGET,
+                    help="interval budget per 101-uncolourable graph that no ladder grid embeds")
     pp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     pp.add_argument("--tickets-depth", type=int, default=7)
     pp.add_argument("--workers", type=int, default=1)

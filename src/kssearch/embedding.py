@@ -29,7 +29,6 @@ from .constraints import (
     ConstraintSystem,
     DEFAULT_DELTA,
     NoEdgesError,
-    Refutation,
     build_constraint_system,
     contract_explain,
     recheck_refutation_exact,

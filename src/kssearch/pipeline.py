@@ -31,6 +31,7 @@ from .colouring import is_k_colourable, solve_101, validate_101
 from .grids import MAX_GRID_N, get_grid, grid_embed, validate_grid_embedding
 from .constraints import DEFAULT_DELTA, MIN_DELTA
 from .embedding import decide_embeddability
+# unread here, but perfbench/spans.py traces pipeline.read_records
 from .catalog import CatalogRecord, compact, read_records, write_synced
 
 DEFAULT_GRID_LADDER = (1, 2, 3, 4, 5, 8)
@@ -85,7 +86,13 @@ def evaluate_graph(
     delta: float = DEFAULT_DELTA,
 ) -> CatalogRecord:
     """All catalog flags for one graph; embedding stages run only for
-    101-uncolourable survivors (the KS candidates)."""
+    101-uncolourable survivors (the KS candidates).
+
+    A candidate tries each grid of the ladder in turn.  An embedding, once
+    re-validated in exact integers, settles the candidate: the interval
+    stage is recorded as ``{"verdict": "skipped", "delta": delta,
+    "steps": 0}``.  Only a candidate that no ladder grid embeds gets a
+    ``decide_embeddability`` run with ``interval_budget``."""
     three, _ = is_k_colourable(g, 3)
     four, _ = is_k_colourable(g, 4)
     if three:
@@ -116,12 +123,15 @@ def evaluate_graph(
                 grid["embedded_n"] = gn
                 grid["witness"] = [list(d) for d in emb.mapping]
                 break
-        verdict = decide_embeddability(g, budget=interval_budget, delta=delta)
-        interval = {
-            "verdict": verdict.kind,
-            "delta": delta,
-            "steps": verdict.stats.contraction_steps,
-        }
+        if grid["embedded_n"] is not None:
+            interval = {"verdict": "skipped", "delta": delta, "steps": 0}
+        else:
+            verdict = decide_embeddability(g, budget=interval_budget, delta=delta)
+            interval = {
+                "verdict": verdict.kind,
+                "delta": delta,
+                "steps": verdict.stats.contraction_steps,
+            }
     return CatalogRecord(graph6=graph6_encode(g), n=g.n, flags=flags, grid=grid, interval=interval)
 
 

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from kssearch.catalog import CatalogRecord, compact, read_records
-from kssearch.constraints import MIN_DELTA
+from kssearch.catalog import CatalogRecord, read_records
+from kssearch import pipeline
+from kssearch.constraints import DEFAULT_DELTA, MIN_DELTA
 from kssearch.graphs import ENUM_MAX_VERTICES, Graph, graph6_encode
+from kssearch.grids import GridEmbedding, get_grid, minimize_uncolourable, validate_grid_embedding
 from kssearch.orderly import CanonicalBudgetExceeded
 from kssearch.pipeline import (
     JobSpec,
@@ -63,6 +65,42 @@ def test_record_consistency_enforced():
             n=3,
             flags={"three_colourable": True, "colourable_101": False},
         )
+
+
+def test_record_rejects_grid_embedding_with_interval_refutation():
+    flags = {"square_free": True, "four_colourable": True, "colourable_101": False}
+    grid = {"embedded_n": 2, "tried_up_to": 2}
+    with pytest.raises(ValueError, match="interval refutation"):
+        CatalogRecord(
+            graph6="Bw", n=3, flags=flags, grid=grid,
+            interval={"verdict": "unembeddable", "delta": DEFAULT_DELTA, "steps": 3},
+        )
+    # the other verdicts may stand beside an embedding, as in older shards
+    for verdict in ("skipped", "inconclusive", "embeddable"):
+        CatalogRecord(
+            graph6="Bw", n=3, flags=flags, grid=grid,
+            interval={"verdict": verdict, "delta": DEFAULT_DELTA, "steps": 0},
+        )
+
+
+def test_evaluate_graph_skips_interval_after_grid_embedding(monkeypatch):
+    g = minimize_uncolourable(get_grid(2)).graph
+
+    def no_interval_stage(*args, **kwargs):
+        raise AssertionError("interval stage ran after a grid embedding")
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "decide_embeddability", no_interval_stage)
+        rec = evaluate_graph(g, grid_ladder=(1, 2))
+    assert rec.flags["colourable_101"] is False
+    assert rec.grid["embedded_n"] == 2 and rec.grid["tried_up_to"] == 2
+    witness = GridEmbedding(2, tuple(map(tuple, rec.grid["witness"])))
+    assert validate_grid_embedding(g, witness)
+    assert rec.interval == {"verdict": "skipped", "delta": DEFAULT_DELTA, "steps": 0}
+    # N = 1 is 101-colourable, so no grid embeds g and the interval stage runs
+    rec = evaluate_graph(g, grid_ladder=(1,), interval_budget=1)
+    assert rec.grid == {"embedded_n": None, "tried_up_to": 1}
+    assert rec.interval == {"verdict": "inconclusive", "delta": DEFAULT_DELTA, "steps": 1}
 
 
 def test_evaluate_graph_flags():
