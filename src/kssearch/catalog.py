@@ -12,6 +12,8 @@ import json
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
 
 TOOL_VERSION = "kssearch 0.1.0"
 
@@ -50,9 +52,11 @@ class CatalogRecord:
             out.append("grid-embedded record not marked 4-colourable")
         if embedded and not f.get("square_free"):
             out.append("grid-embedded record not marked square-free")
-        if embedded and (self.interval or {}).get("verdict") == "unembeddable":
-            # an exact embedding and a refutation cannot both hold
-            out.append("grid-embedded record carries an interval refutation")
+        refuted = (self.interval or {}).get("verdict") == "unembeddable"
+        witness = self.grid.get("witness") or []
+        if embedded and refuted and _separated(witness, self.interval["delta"]):
+            # the exact witness is itself an embedding the refutation excludes
+            out.append("grid witness contradicts the interval refutation")
         return out
 
     def to_json(self) -> str:
@@ -79,6 +83,17 @@ class CatalogRecord:
             interval=data.get("interval"),
             tool_version=data.get("tool_version", "unknown"),
         )
+
+
+def _separated(vectors, delta: float) -> bool:
+    """Exactly: every pair of integer vectors keeps projective separation at
+    least delta, (u.v)^2 <= (1 - delta^2) |u|^2 |v|^2."""
+    bound = 1 - Fraction(delta) ** 2
+    norms = [sum(c * c for c in v) for v in vectors]
+    return all(
+        sum(a * b for a, b in zip(vectors[i], vectors[j])) ** 2 <= bound * norms[i] * norms[j]
+        for i, j in combinations(range(len(vectors)), 2)
+    )
 
 
 def read_records(path: str) -> list[CatalogRecord]:

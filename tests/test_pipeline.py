@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from kssearch.catalog import CatalogRecord, read_records
 from kssearch import pipeline
+from kssearch.catalog import CatalogRecord, read_records
 from kssearch.constraints import DEFAULT_DELTA, MIN_DELTA
 from kssearch.graphs import ENUM_MAX_VERTICES, Graph, graph6_encode
 from kssearch.grids import GridEmbedding, get_grid, minimize_uncolourable, validate_grid_embedding
@@ -67,20 +67,21 @@ def test_record_consistency_enforced():
         )
 
 
-def test_record_rejects_grid_embedding_with_interval_refutation():
+def test_record_rejects_grid_witness_beside_interval_refutation():
     flags = {"square_free": True, "four_colourable": True, "colourable_101": False}
-    grid = {"embedded_n": 2, "tried_up_to": 2}
-    with pytest.raises(ValueError, match="interval refutation"):
-        CatalogRecord(
-            graph6="Bw", n=3, flags=flags, grid=grid,
-            interval={"verdict": "unembeddable", "delta": DEFAULT_DELTA, "steps": 3},
-        )
-    # the other verdicts may stand beside an embedding, as in older shards
+    # projective separation of (1,0,0) and (1,1,0) is 1/sqrt(2)
+    grid = {"embedded_n": 1, "tried_up_to": 1, "witness": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}
+
+    def record(verdict, delta=DEFAULT_DELTA):
+        interval = {"verdict": verdict, "delta": delta, "steps": 3}
+        return CatalogRecord(graph6="Bw", n=3, flags=flags, grid=grid, interval=interval)
+
+    with pytest.raises(ValueError, match="contradicts the interval refutation"):
+        record("unembeddable")
+    # a refutation at delta 0.8 excludes only embeddings this witness is not
+    record("unembeddable", delta=0.8)
     for verdict in ("skipped", "inconclusive", "embeddable"):
-        CatalogRecord(
-            graph6="Bw", n=3, flags=flags, grid=grid,
-            interval={"verdict": verdict, "delta": DEFAULT_DELTA, "steps": 0},
-        )
+        record(verdict)
 
 
 def test_evaluate_graph_skips_interval_after_grid_embedding(monkeypatch):
