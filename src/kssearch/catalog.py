@@ -52,11 +52,11 @@ class CatalogRecord:
             out.append("grid-embedded record not marked 4-colourable")
         if embedded and not f.get("square_free"):
             out.append("grid-embedded record not marked square-free")
-        refuted = (self.interval or {}).get("verdict") == "unembeddable"
-        witness = self.grid.get("witness") or []
-        if embedded and refuted and _separated(witness, self.interval["delta"]):
-            # the exact witness is itself an embedding the refutation excludes
-            out.append("grid witness contradicts the interval refutation")
+        if embedded and (self.interval or {}).get("verdict") == "unembeddable":
+            # the exact witness, when delta-separated, is itself an embedding
+            # the refutation excludes
+            if _separated(self.grid.get("witness") or [], self.interval["delta"]):
+                out.append("grid witness contradicts the interval refutation")
         return out
 
     def to_json(self) -> str:
