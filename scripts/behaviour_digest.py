@@ -33,7 +33,7 @@ and after:
 - ``export_poly_sha256``: the sha256 of ``text()`` and ``legend_text()`` of
   ``export_polynomial`` for every connected square-free graph with n <= 7.
 
-Runs in about 35 s on one core (the placement search that the cell
+Runs in about 15 s on one core (the placement search that the cell
 search in ``canonical_label`` replaced needed about 60 s more, mostly for
 the 41- and 39-vertex subsystems of seeds 3 and 5):
 

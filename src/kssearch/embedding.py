@@ -15,8 +15,6 @@ certified here, only refuted or left inconclusive.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -431,9 +429,16 @@ def decide_embeddability(
     intervals inside the initial box (ValueError otherwise).  The verdict
     covers only the boxes given, so a resume is only as sound as its boxes.
 
-    The frontier is an in-memory heap, largest volume first (ties in push
-    order).  It grows by at most one box per contraction step, so a run from
-    the initial box never holds more than budget + 1 boxes.
+    The frontier is an in-memory stack searched depth first: a bisection
+    pushes the right half, then the left, so the left half is popped next,
+    and ``resume_boxes`` are popped in the order given.  It grows by at most
+    one box per contraction step, so a run from the initial box never holds
+    more than budget + 1 boxes; an Inconclusive verdict lists the
+    unsplittable boxes first, then the stack in pop order.  A box narrow
+    enough for Newton gets a Gauss-Newton polish, and the Krawczyk test
+    runs only when the polished point passes the residual gate and
+    ``check_distinctness`` as a thin box: where two vertex images coincide,
+    a certificate could never pass that test on its refined box.
     """
     if budget < 1:
         raise ValueError(f"interval budget must be at least 1, not {budget}")
@@ -465,18 +470,12 @@ def decide_embeddability(
         return ProvedEmbeddable(prove_root_in_box(init, cs).certificate, mkstats())
 
     eqs = _equations(cs)
-    frontier: list[tuple[float, int, IntervalBox]] = []
-    pushes = itertools.count()
-
-    def push(b: IntervalBox) -> None:
-        heapq.heappush(frontier, (-b.log_volume(), next(pushes), b))
-
-    for b in resume_boxes or (init,):
-        push(b)
+    # a stack: the last box pushed is the next one popped
+    frontier = list(reversed(resume_boxes)) if resume_boxes else [init]
     residuals: list[IntervalBox] = []
 
     while stats["contraction_steps"] < budget and frontier:
-        _, _, box = heapq.heappop(frontier)
+        box = frontier.pop()
         stats["boxes_processed"] += 1
         stats["peak_queue"] = max(stats["peak_queue"], len(frontier) + 1)
 
@@ -506,7 +505,9 @@ def decide_embeddability(
         if box.max_width < NEWTON_MAX_WIDTH:
             stats["newton_attempts"] += 1
             polished = _polish(cs, eqs, np.array(box.midpoint()))
-            if np.max(np.abs(_float_system(cs, eqs, polished)[0])) < 1e-9:
+            pt = tuple(polished.tolist())
+            near = np.max(np.abs(_float_system(cs, eqs, polished)[0])) < 1e-9
+            if near and check_distinctness(cs, IntervalBox(pt, pt)):
                 for eps in (1e-7, 1e-5, 1e-3):
                     seed = IntervalBox(tuple(polished - eps), tuple(polished + eps))
                     res = prove_root_in_box(seed, cs, "auto")
@@ -519,11 +520,9 @@ def decide_embeddability(
             residuals.append(box)
             continue
         stats["bisections"] += 1
-        push(left)
-        push(right)
+        frontier += (right, left)
 
-    # the push counter makes every key distinct, so sorting never compares boxes
-    leftovers = tuple(residuals) + tuple(b for _, _, b in sorted(frontier))
+    leftovers = tuple(residuals) + tuple(reversed(frontier))
     if not leftovers:
         return ProvedUnembeddable(delta, mkstats())
     reason = (

@@ -180,13 +180,6 @@ class IntervalBox:
     def max_width(self) -> float:
         return max(map(sub, self.hi, self.lo), default=0.0)
 
-    def log_volume(self) -> float:
-        """Sum of log2 widths (thin dimensions clamped); orders boxes by volume."""
-        total = 0.0
-        for w in map(sub, self.hi, self.lo):
-            total += math.log2(max(w, 1e-300))
-        return total
-
     def midpoint(self) -> list[float]:
         return list(map(midpoint, self.lo, self.hi))
 

@@ -16,7 +16,9 @@ from kssearch.constraints import (
     contract_explain,
     recheck_refutation_exact,
 )
+from kssearch import embedding
 from kssearch.intervals import IntervalBox, WidthUnderflow, bisect
+from kssearch.orderly import enumerate_graphs
 from kssearch.embedding import (
     Inconclusive,
     ProvedEmbeddable,
@@ -294,18 +296,79 @@ def _splittable(box):
     return True
 
 
-def test_frontier_order_and_size():
-    # an n = 10 class the budget leaves open, with hundreds of queued boxes
+def test_frontier_is_depth_first():
+    # an n = 10 class the budget leaves open; depth first, the queue stays
+    # far below the 258 boxes a largest-volume-first order holds here
     budget = 1_000
-    v = decide_embeddability(graph6_decode("I{O_ogI@W"), budget=budget)
+    g = graph6_decode("I{O_ogI@W")
+    v = decide_embeddability(g, budget=budget)
     assert isinstance(v, Inconclusive) and v.reason == "budget exhausted"
+    assert v.stats.peak_queue <= 64
     assert v.stats.peak_queue <= budget + 1
+    # a bisection leaves its left half on top of the stack
+    left, right = decide_embeddability(g, budget=1).residual_boxes
+    assert max(b - a for a, b in zip(left.lo, right.lo)) > 0
     boxes = list(v.residual_boxes)
     while boxes and not _splittable(boxes[0]):
         boxes.pop(0)  # unsplittable boxes come first, in the order they were met
-    volumes = [b.log_volume() for b in boxes]
-    assert len(volumes) > 100 and len(set(volumes)) > 1
-    assert all(a >= b for a, b in zip(volumes, volumes[1:])), "frontier not largest-volume-first"
+    assert len(boxes) > 1
+    # one sweep on the first box given, whose halves (if it survives) are
+    # then on top of the stack, above the other boxes in the order given
+    again = decide_embeddability(g, budget=1, resume_boxes=boxes)
+    assert again.stats.contraction_steps == again.stats.boxes_processed == 1
+    rest = len(again.residual_boxes) - (len(boxes) - 1)
+    assert rest in (0, 2) and again.stats.bisections == rest // 2
+    assert list(again.residual_boxes[rest:]) == boxes[1:]
+    for half in again.residual_boxes[:rest]:
+        inside = zip(boxes[0].lo, half.lo, half.hi, boxes[0].hi)
+        assert all(a <= b <= c <= d for a, b, c, d in inside)
+
+
+@pytest.mark.parametrize("graph,kind", [(P4, ProvedEmbeddable), (C4, ProvedUnembeddable)])
+def test_checkpoint_round_trip_resumes_depth_first(graph, kind):
+    stopped = 0
+    for budget in range(1, 31):
+        v = decide_embeddability(graph, budget=budget)
+        if not isinstance(v, Inconclusive):
+            assert isinstance(v, kind)
+            continue
+        stopped += 1
+        _g6, delta, boxes = checkpoint_from_json(checkpoint_to_json(graph, 1e-4, v))
+        assert boxes == list(v.residual_boxes)
+        # a checkpoint written by the heap-ordered frontier lists its boxes
+        # in another order; any order of boxes covering the rest resumes
+        for order in (boxes, boxes[::-1]):
+            resumed = decide_embeddability(graph, budget=10**6, delta=delta, resume_boxes=order)
+            assert isinstance(resumed, kind), (budget, order is boxes)
+    assert stopped
+
+
+def test_distinctness_gate_keeps_every_verdict(monkeypatch):
+    # the Krawczyk test runs only at polished points whose vertex images are
+    # distinct; with that gate off it runs at every polished point, and the
+    # verdicts and certificates must not change
+    graphs = [C4, P4, PAW] + [g for n in range(1, 7) for g in enumerate_graphs(n)]
+
+    calls = []
+    prove = embedding.prove_root_in_box
+    monkeypatch.setattr(embedding, "prove_root_in_box", lambda *a: calls.append(1) or prove(*a))
+
+    def run():
+        calls.clear()
+        out = []
+        for g in graphs:
+            v = decide_embeddability(g, budget=3_000)
+            out.append((verdict_to_json(v), getattr(v, "certificate", None)))
+        return out, len(calls)
+
+    gated, gated_tests = run()
+    check = embedding.check_distinctness
+    monkeypatch.setattr(
+        embedding, "check_distinctness", lambda cs, box: box.lo == box.hi or check(cs, box)
+    )
+    ungated, ungated_tests = run()
+    assert ungated == gated
+    assert gated_tests < ungated_tests
 
 
 def test_checkpoint_version_guard():
