@@ -73,8 +73,14 @@ class CatalogRecord:
     @staticmethod
     def from_json(line: str) -> "CatalogRecord":
         """Parse one line; keys outside the record (older shards' provenance
-        stamps) are ignored."""
+        stamps) are ignored.  ValueError naming the key unless the line is a
+        JSON object with graph6, n and flags."""
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError("record line is not a JSON object")
+        for key in ("graph6", "n", "flags"):
+            if key not in data:
+                raise ValueError(f"record line has no {key!r} key")
         return CatalogRecord(
             graph6=data["graph6"],
             n=data["n"],
@@ -97,12 +103,17 @@ def _separated(vectors, delta: float) -> bool:
 
 
 def read_records(path: str) -> list[CatalogRecord]:
+    """The records of a shard or catalog; a line that does not parse raises
+    ValueError naming the file and the line."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(CatalogRecord.from_json(line))
+                try:
+                    out.append(CatalogRecord.from_json(line))
+                except ValueError as e:
+                    raise ValueError(f"{path}, line {lineno}: {e}") from e
     return out
 
 

@@ -185,7 +185,9 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
     of sums is ``nextafter`` written out.  It equals the guarded
     ``_dn``/``_up`` except at an infinity, which sums over the solver's boxes
     (endpoints in [-1, 1]) never reach; the divisions, which can overflow,
-    round inside :func:`narrow_by_div`.
+    round inside :func:`narrow_by_div`.  A separation pair whose dot product
+    already lies in the band skips its narrowings, which would return the
+    box's own endpoints.
     """
     lo = list(box.lo)
     hi = list(box.hi)
@@ -211,6 +213,10 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
             fh = nx(nx(nx(0.0 + ph[0], inf) + ph[1], inf) + ph[2], inf)
             if not (fl <= 0.0 <= fh if band is None else hull_of_cuts(fl, fh, (band,))):
                 fail(kind, (s, t))
+            if band is not None and blo <= fl and fh <= bhi:
+                # the sum lies in the band, so each product's target below
+                # holds every product over the box: no narrowing can cut
+                continue
             for c in (0, 1, 2):
                 i, j = 3 * s + c, 3 * t + c
                 a, b = _OTHERS[c]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from operator import sub
 
-import numpy as np
-
 from .graphs import Graph
 from .constraints import (
     ConstraintSystem,
@@ -169,6 +167,8 @@ def _residuals_at(cs: ConstraintSystem, eqs, pt) -> tuple[list[float], list[floa
 
 def _float_system(cs: ConstraintSystem, eqs, pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The residuals and the Jacobian of the equations at a float point."""
+    import numpy as np
+
     f = np.zeros(len(eqs))
     jac = np.zeros((len(eqs), cs.num_vars))
     for i, eq in enumerate(eqs):
@@ -196,6 +196,8 @@ def choose_slices(cs: ConstraintSystem, pt: np.ndarray) -> tuple[tuple[int, floa
     coordinate with the largest remaining basis row, then eliminate that
     direction.  Pins through the approximate root only add constraints.
     """
+    import numpy as np
+
     eqs = _equations(cs)
     need = cs.num_vars - len(eqs)
     if need <= 0:
@@ -231,6 +233,8 @@ def _krawczyk_image(cs: ConstraintSystem, eqs, lo: list[float], hi: list[float],
     each outward, and a zero Jacobian entry still adds its scaled [0, 0], one
     ulp either side of zero.
     """
+    import numpy as np
+
     nv = cs.num_vars
     mid = [midpoint(a, b) for a, b in zip(lo, hi)]
     flo, fhi = _residuals_at(cs, eqs, mid)
@@ -311,6 +315,8 @@ def prove_root_in_box(
     the certified box; "unknown" carries no claim.  Over-determined systems
     and singular midpoint Jacobians report unknown with a diagnostic.
     """
+    import numpy as np
+
     eqs = _equations(cs)
     nv = cs.num_vars
     if nv == 0:
@@ -392,6 +398,8 @@ def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem):
 # Gauss-Newton polish (float heuristic feeding the certified test)
 
 def _polish(cs: ConstraintSystem, eqs, start: np.ndarray, iters: int = 40):
+    import numpy as np
+
     x = start.astype(float).copy()
     for _ in range(iters):
         f, jac = _float_system(cs, eqs, x)
@@ -440,6 +448,8 @@ def decide_embeddability(
     ``check_distinctness`` as a thin box: where two vertex images coincide,
     a certificate could never pass that test on its refined box.
     """
+    import numpy as np
+
     if budget < 1:
         raise ValueError(f"interval budget must be at least 1, not {budget}")
     stats = dict(

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .graphs import Graph, _bits, is_square_free, triangles
 from .colouring import solve_101
 
@@ -54,6 +52,8 @@ class GridSystem:
 
 def generate_grid(n: int) -> GridSystem:
     """Exactly the normalized surface directions; orthogonality by integer dot product."""
+    import numpy as np
+
     if not 1 <= n <= MAX_GRID_N:
         raise ValueError(f"grid parameter {n} outside 1..{MAX_GRID_N}")
     seen = set()

@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .graphs import (
     ENUM_MAX_VERTICES,
     Graph,
@@ -598,6 +596,8 @@ def brute_force_classes(
     seen.  No branch-and-bound involved.  Representatives come back in
     descending code order.
     """
+    import numpy as np
+
     if not 1 <= n <= ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}")
     if n == 1:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 from .graphs import (
     ENUM_MAX_VERTICES,
@@ -74,7 +73,18 @@ class JobSpec:
 
     @staticmethod
     def from_json(text: str) -> "JobSpec":
+        """The spec of one ``spec.json``; ValueError naming the key unless it
+        is a JSON object with exactly the fields of JobSpec."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("job spec is not a JSON object")
+        names = [f.name for f in fields(JobSpec)]
+        for key in data:
+            if key not in names:
+                raise ValueError(f"job spec has unknown key {key!r}")
+        for key in names:
+            if key not in data:
+                raise ValueError(f"job spec has no {key!r} key")
         data["grid_ladder"] = tuple(data["grid_ladder"])
         return JobSpec(**data)
 
@@ -191,6 +201,8 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
             failed.append(f"n={task[1]}, ticket={task[2] or 'root'}: {type(e).__name__}: {e}")
 
     if spec.workers > 1 and tasks:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             for task, fut in [(t, pool.submit(_process_ticket, t)) for t in tasks]:
                 attempt(task, fut.result)

@@ -1,12 +1,19 @@
-"""Every name a kssearch module imports is read somewhere in that module.
+"""What kssearch imports.
 
+Every name a kssearch module imports is read somewhere in that module.
 Each module is parsed with ``ast``; a name bound by ``import`` or
 ``from … import`` that no expression of the module reads is dead.  The
 package's ``__init__.py`` is not scanned: its imports are the package's
 exports.
+
+numpy and the process pool are imported by the functions that use them,
+so enumeration, colouring, a search over 101-colourable graphs and
+``report`` run without loading either.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kssearch"
@@ -38,3 +45,40 @@ def test_no_unread_imports():
     assert unread - ALLOWED == set()
     # an allowance the module no longer needs is removed with it
     assert ALLOWED <= unread
+
+
+_LAZY_IMPORTS = """
+import sys
+sys.path.insert(0, {src!r})
+import kssearch
+from kssearch import cli
+from kssearch.embedding import ProvedEmbeddable, decide_embeddability
+from kssearch.graphs import Graph
+from kssearch.pipeline import JobSpec, run_search
+
+run_search(JobSpec(1, 6, {job!r}))
+assert cli.main(["enumerate", "--n", "6", "--out", {graphs!r}]) == 0
+assert cli.main(["report", "--catalog", {catalog!r}, "--out", {csv!r}]) == 0
+loaded = [m for m in ("numpy", "multiprocessing", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
+paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+verdict = decide_embeddability(paw)
+assert isinstance(verdict, ProvedEmbeddable) and verdict.certificate is not None, verdict
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_and_process_pool_load_on_first_use(tmp_path):
+    """In a fresh interpreter: a search over n <= 6, ``enumerate`` and
+    ``report`` load neither numpy nor the process pool; the first interval
+    decision loads numpy."""
+    job = tmp_path / "job"
+    code = _LAZY_IMPORTS.format(
+        src=str(SRC.parent),
+        job=str(job),
+        graphs=str(tmp_path / "graphs.g6"),
+        catalog=str(job / "catalog.jsonl"),
+        csv=str(tmp_path / "counts.csv"),
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

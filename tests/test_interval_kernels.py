@@ -13,7 +13,7 @@ separate functions they replaced.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -458,6 +458,30 @@ def test_contract_explain_matches_interval_oracle(case):
     else:
         assert got_ref is None
         assert _hex(got) == _hex(want)
+
+
+def test_separation_pair_inside_band_matches_interval_oracle():
+    """The sweep skips the narrowings of a separation pair whose dot product
+    already lies in the band.  On this box pair (0, 2) lies in it and pair
+    (1, 2) still narrows; the kernel matches the oracle, which never skips."""
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    cs = build_constraint_system(g, 0.3)
+    assert cs.sep_pairs == ((0, 2), (1, 2))
+    box = IntervalBox(
+        (-0.45, 0.42, 0.66, 0.24, -0.87, 0.76, 0.23, -0.76, 0.66),
+        (-0.4, 0.62, 0.71, 0.54, -0.57, 1.0, 0.43, -0.66, 0.96),
+    )
+    # the sweep only narrows, so (0, 2) stays in the band at its step
+    ivs = to_ivs(box)
+    dot = ZERO + ref_mul(ivs[0], ivs[6]) + ref_mul(ivs[1], ivs[7]) + ref_mul(ivs[2], ivs[8])
+    assert -cs.sep_bound <= dot.lo and dot.hi <= cs.sep_bound
+    want, _ = ref_contract_explain(box, cs)
+    got, got_ref = contract_explain(box, cs)
+    assert want is not None and got_ref is None
+    assert _hex(got) == _hex(want)
+    # in the oracle, (0, 2) cuts nothing and (1, 2) cuts
+    assert _hex(ref_contract_explain(box, replace(cs, sep_pairs=((1, 2),)))[0]) == _hex(want)
+    assert _hex(ref_contract_explain(box, replace(cs, sep_pairs=((0, 2),)))[0]) != _hex(want)
 
 
 def assert_float_system_matches(cs, eqs, pt) -> None:

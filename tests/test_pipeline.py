@@ -46,6 +46,8 @@ def test_jobspec_validation():
         JobSpec(n_min=1, n_max=ENUM_MAX_VERTICES + 1, out_dir="x").validate()
     spec = JobSpec(n_min=1, n_max=3, out_dir="x")
     assert JobSpec.from_json(spec.to_json()) == spec
+    with pytest.raises(ValueError, match="JSON object"):
+        JobSpec.from_json("[]")
 
 
 def test_jobspec_delta_floor(tmp_path):
@@ -65,6 +67,20 @@ def test_record_consistency_enforced():
             n=3,
             flags={"three_colourable": True, "colourable_101": False},
         )
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"graph6": "Bw", "n": 3}', "'flags'"),  # was a KeyError
+        ('{"n": 3, "flags": {}}', "'graph6'"),
+        ('{"graph6": "Bw", "flags": {}}', "'n'"),
+        ("[1]", "JSON object"),
+    ],
+)
+def test_record_from_json_names_missing_key(line, message):
+    with pytest.raises(ValueError, match=message):
+        CatalogRecord.from_json(line)
 
 
 def test_record_rejects_grid_witness_beside_interval_refutation():
@@ -229,6 +245,54 @@ def test_resume_rejects_changed_spec(tmp_path):
     other = spec_for(tmp_path / "j", 5)
     with pytest.raises(ValueError):
         run_search(other)
+
+
+def _edit_json_lines(path, edit) -> None:
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    for data in lines:
+        edit(data)
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(data) + "\n" for data in lines)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.update(bogus=1), "unknown key 'bogus'"),  # was a TypeError
+        (lambda d: d.pop("workers"), "'workers'"),
+        (lambda d: d.pop("n_max"), "'n_max'"),  # was a TypeError
+    ],
+)
+def test_resume_rejects_malformed_spec(tmp_path, capsys, edit, message):
+    from kssearch.cli import EXIT_USAGE, main
+
+    spec = spec_for(tmp_path / "j", 4)
+    run_search(spec)
+    _edit_json_lines(os.path.join(spec.out_dir, "spec.json"), edit)
+    with pytest.raises(ValueError, match=message):
+        run_search(spec)
+    assert main(["pipeline", "--n", "1..4", "--out", spec.out_dir, "--resume"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+
+
+def test_record_line_without_flags_is_a_usage_error(tmp_path, capsys):
+    from kssearch.cli import EXIT_USAGE, main
+
+    spec = spec_for(tmp_path / "j", 4)
+    run_search(spec)
+    shard = os.path.join(spec.out_dir, "shards", "4_root.jsonl")
+    catalog = os.path.join(spec.out_dir, "catalog.jsonl")
+    capsys.readouterr()
+    for path, argv in [
+        (catalog, ["report", "--catalog", catalog]),
+        (shard, ["pipeline", "--n", "1..4", "--out", spec.out_dir, "--resume"]),  # in compact
+    ]:
+        _edit_json_lines(path, lambda d: d.pop("flags"))
+        assert main(argv) == EXIT_USAGE  # was a KeyError
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}, line 1: ") and "'flags'" in err, err
 
 
 def test_ticket_accounting(tmp_path):
