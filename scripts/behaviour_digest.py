@@ -20,9 +20,8 @@ and after:
   graph with n <= 6, C4 and the two n = 10 classes, at delta 1e-4 and 0.3,
   one line per sweep with every endpoint as ``float.hex`` (the refutation's
   kind, detail and snapshot when the sweep refutes);
-- the sha256 of the Krawczyk certificates (outer box, refined box, slices,
-  iterations, and the enclosure ``refine_certificate`` reaches from it)
-  behind every ProvedEmbeddable verdict with n <= 7;
+- the sha256 of the Krawczyk certificates (outer box, refined box, slices
+  and iterations) behind every ProvedEmbeddable verdict with n <= 7;
 - the sha256 of ``canonical_code`` of the greedy critical subsystem of the
   N = 2 grid for scan seeds None and 0..5 (31 to 41 vertices), one code per
   line: this pins ``canonical_label``;
@@ -50,7 +49,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kssearch.constraints import build_constraint_system, contract_explain
-from kssearch.embedding import Inconclusive, decide_embeddability, refine_certificate, verdict_to_json
+from kssearch.embedding import Inconclusive, decide_embeddability, verdict_to_json
 from kssearch.graphs import Graph, encode_upper_triangle, graph6_decode
 from kssearch.grids import get_grid, grid_embed, minimize_uncolourable
 from kssearch.intervals import WidthUnderflow, bisect
@@ -99,16 +98,12 @@ def _sweep_lines() -> list[str]:
 
 def _certificate_lines(verdicts) -> list[str]:
     lines = []
-    for g, v in verdicts:
+    for v in verdicts:
         cert = getattr(v, "certificate", None)
         if cert is None or not len(cert.box):
             continue  # no edges, or nothing left free after pinning
-        refined = refine_certificate(cert, build_constraint_system(g))
         slices = " ".join(f"{c}:{val.hex()}" for c, val in cert.slices)
-        lines.append(
-            f"{_box_hex(cert.box)} | {_box_hex(cert.refined)} | {slices} | "
-            f"{cert.iterations} | {_box_hex(refined) if refined is not None else None}"
-        )
+        lines.append(f"{_box_hex(cert.box)} | {_box_hex(cert.refined)} | {slices} | {cert.iterations}")
     return lines
 
 
@@ -152,10 +147,8 @@ def main() -> int:
         catalog = (Path(tmp) / "catalog.jsonl").read_bytes()
         summary = (Path(tmp) / "summary.json").read_bytes()
     codes = [encode_upper_triangle(g) for g in enumerate_graphs(11)]
-    verdicts = [
-        (g, decide_embeddability(g, budget=3_000)) for n in range(1, 8) for g in enumerate_graphs(n)
-    ]
-    small = [verdict_to_json(v, budget=3_000) for _, v in verdicts]
+    verdicts = [decide_embeddability(g, budget=3_000) for n in range(1, 8) for g in enumerate_graphs(n)]
+    small = [verdict_to_json(v, budget=3_000) for v in verdicts]
     sweeps = _sweep_lines()
     certificates = _certificate_lines(verdicts)
     n2_subs = _n2_scan_subsystems()

@@ -74,13 +74,17 @@ class CatalogRecord:
     def from_json(line: str) -> "CatalogRecord":
         """Parse one line; keys outside the record (older shards' provenance
         stamps) are ignored.  ValueError naming the key unless the line is a
-        JSON object with graph6, n and flags."""
+        JSON object with a string graph6, an int n and a dict of flags, and
+        its grid and interval, when given, are dicts or null."""
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError("record line is not a JSON object")
-        for key in ("graph6", "n", "flags"):
+        for key, kinds in (("graph6", (str,)), ("n", (int,)), ("flags", (dict,))):
             if key not in data:
                 raise ValueError(f"record line has no {key!r} key")
+            require_type("record line", key, data[key], *kinds)
+        for key in ("grid", "interval"):
+            require_type("record line", key, data.get(key), dict, type(None))
         return CatalogRecord(
             graph6=data["graph6"],
             n=data["n"],
@@ -89,6 +93,14 @@ class CatalogRecord:
             interval=data.get("interval"),
             tool_version=data.get("tool_version", "unknown"),
         )
+
+
+def require_type(owner: str, key: str, value, *kinds: type) -> None:
+    """ValueError naming ``key`` unless ``value`` is one of ``kinds``; a bool
+    passes only where ``kinds`` names bool, not as an int."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{owner} {key!r} value {value!r} is not {names}")
 
 
 def _separated(vectors, delta: float) -> bool:

@@ -7,11 +7,10 @@ search with unit propagation over vertex bitmasks:
   - a 0 forces every neighbour to 1 (edge rule);
   - two adjacent 1s force all their common neighbours to 0 (triangle rule).
 
-Vertices outside the triangle core (vertices left after repeatedly peeling
-those in no triangle) can always take 1, so the search runs on the core only.
-Every triangle of the graph lies inside the core: the first member of a
-triangle to be peeled would still have its two partners alive, so no member
-is ever peeled.
+Vertices outside the triangle core (the vertices that lie in a triangle) can
+always take 1, so the search runs on the core only.  Every triangle of the
+graph lies inside the core, so the core's 101-colourings are exactly the
+graph's restricted to it.
 """
 
 from __future__ import annotations

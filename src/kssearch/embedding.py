@@ -38,14 +38,16 @@ NEWTON_MAX_WIDTH = 0.6
 # at most this many contraction sweeps per popped box; a sweep that shrinks
 # the box's width sum by less than 2% ends them earlier
 SWEEPS_PER_BOX = 20
-# Krawczyk iterations, in prove_root_in_box and in refine_certificate
+# Krawczyk iterations per prove_root_in_box call
 KRAWCZYK_ITERATIONS = 10
+# Gauss-Newton steps per polish
+POLISH_ITERATIONS = 40
 
 
 # ---------------------------------------------------------------------------
 # Verdicts
 
-@dataclass(frozen=True)
+@dataclass
 class SolverStats:
     contraction_steps: int = 0
     boxes_processed: int = 0
@@ -122,15 +124,6 @@ def verdict_to_json(v: Verdict, delta: float | None = None, budget: int | None =
 # ---------------------------------------------------------------------------
 # Krawczyk existence test
 
-@dataclass(frozen=True)
-class NewtonResult:
-    certificate: KrawczykCertificate | None
-    diagnostic: str
-
-    def __bool__(self):
-        return self.certificate is not None
-
-
 def _equations(cs: ConstraintSystem):
     """Fixed equation order: norms, coordinate zeros, free-free dots."""
     eqs = [("norm", s) for s in range(len(cs.free))]
@@ -203,11 +196,10 @@ def choose_slices(cs: ConstraintSystem, pt: np.ndarray) -> tuple[tuple[int, floa
     if need <= 0:
         return ()
     jac = _float_system(cs, eqs, pt)[1]
-    _u, sv, vt = np.linalg.svd(jac) if len(eqs) else (None, np.zeros(0), np.eye(cs.num_vars))
-    rank = int((sv > 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)).sum())
-    basis = vt[rank:].T.copy()  # (nv, k) nullspace basis
-    if basis.shape[1] < need:
-        basis = np.hstack([basis, np.eye(cs.num_vars)[:, : need - basis.shape[1]]])
+    # eqs has a norm per free slot, so vt has nv - rank >= need null rows
+    _u, sv, vt = np.linalg.svd(jac)
+    rank = int((sv > 1e-9 * max(1.0, sv[0])).sum())
+    basis = vt[rank:].T.copy()  # (nv, nv - rank) nullspace basis
     picks = []
     for _ in range(need):
         norms = np.linalg.norm(basis, axis=1)
@@ -226,12 +218,12 @@ def _krawczyk_image(cs: ConstraintSystem, eqs, lo: list[float], hi: list[float],
     """K(cur) = mid - C f(mid) + (I - C J(cur))(cur - mid) on float endpoints.
 
     ``cur`` is [lo[i], hi[i]] per variable; returns the image as (lo, hi)
-    lists, or a str on failure.  The float operations are those of the
-    interval-object oracle in ``tests/test_interval_kernels.py``, in the
-    same order: every sum starts from 0.0, scaling an interval by a matrix
-    entry k multiplies both ends by k (swapping them when k < 0) and rounds
-    each outward, and a zero Jacobian entry still adds its scaled [0, 0], one
-    ulp either side of zero.
+    lists, or None when the midpoint Jacobian has no finite inverse.  The
+    float operations are those of the interval-object oracle in
+    ``tests/test_interval_kernels.py``, in the same order: every sum starts
+    from 0.0, scaling an interval by a matrix entry k multiplies both ends by
+    k (swapping them when k < 0) and rounds each outward, and a zero Jacobian
+    entry still adds its scaled [0, 0], one ulp either side of zero.
     """
     import numpy as np
 
@@ -263,9 +255,9 @@ def _krawczyk_image(cs: ConstraintSystem, eqs, lo: list[float], hi: list[float],
     try:
         cmat = np.linalg.inv(jmid)
     except np.linalg.LinAlgError:
-        return "singular midpoint Jacobian"
+        return None
     if not np.all(np.isfinite(cmat)):
-        return "non-finite preconditioner"
+        return None
     dlo = [_dn(a - m) for a, m in zip(lo, mid)]
     dhi = [_up(b - m) for b, m in zip(hi, mid)]
     nx = math.nextafter
@@ -307,48 +299,44 @@ def _krawczyk_image(cs: ConstraintSystem, eqs, lo: list[float], hi: list[float],
 def prove_root_in_box(
     box: IntervalBox,
     cs: ConstraintSystem,
-    slices: tuple[tuple[int, float], ...] | str = "auto",
-) -> NewtonResult:
+    slices: tuple[tuple[int, float], ...] | None = None,
+) -> KrawczykCertificate | None:
     """Krawczyk containment test on the (sliced) square equation system.
 
     A certificate means the system has a real solution (locally unique) in
-    the certified box; "unknown" carries no claim.  Over-determined systems
-    and singular midpoint Jacobians report unknown with a diagnostic.
+    the certified box; None carries no claim.  ``slices=None`` chooses them
+    through the box's midpoint.  A system the slices do not square up, and
+    a midpoint Jacobian with no finite inverse, give None.
     """
     import numpy as np
 
     eqs = _equations(cs)
     nv = cs.num_vars
     if nv == 0:
-        empty = IntervalBox((), ())
-        return NewtonResult(KrawczykCertificate(empty, empty, (), 0), "constant system")
-    if slices == "auto":
+        return KrawczykCertificate(box, box, (), 0)  # nothing left free
+    if slices is None:
         slices = choose_slices(cs, np.array(box.midpoint()))
-    m = len(eqs) + len(slices)
-    if m > nv:
-        return NewtonResult(None, f"over-determined: {m} equations, {nv} variables")
-    if m < nv:
-        return NewtonResult(None, f"under-determined: {m} equations, {nv} variables; slices required")
+    if len(eqs) + len(slices) != nv:
+        return None
 
     lo, hi = box.lo, box.hi
     for it in range(1, KRAWCZYK_ITERATIONS + 1):
         image = _krawczyk_image(cs, eqs, lo, hi, slices)
-        if isinstance(image, str):
-            return NewtonResult(None, image)
+        if image is None:
+            return None
         klo, khi = image
         # the image's endpoints cut with the box's
         cut_lo = tuple(map(max, klo, lo))
         cut_hi = tuple(map(min, khi, hi))
         if all(a < ka and kb < b for a, b, ka, kb in zip(lo, hi, klo, khi)):
             refined = IntervalBox(cut_lo, cut_hi)
-            cert = KrawczykCertificate(IntervalBox(lo, hi), refined, tuple(slices), it)
-            return NewtonResult(cert, "certified")
+            return KrawczykCertificate(IntervalBox(lo, hi), refined, tuple(slices), it)
         if any(not a <= b for a, b in zip(cut_lo, cut_hi)):
-            return NewtonResult(None, "Krawczyk image disjoint from box")
+            return None  # disjoint from the box
         if not any(b - a < (h - l) * 0.9 for a, b, l, h in zip(cut_lo, cut_hi, lo, hi)):
-            return NewtonResult(None, "Krawczyk not contracting")
+            return None  # not contracting
         lo, hi = cut_lo, cut_hi
-    return NewtonResult(None, f"no containment within {KRAWCZYK_ITERATIONS} iterations")
+    return None
 
 
 def check_distinctness(cs: ConstraintSystem, box: IntervalBox) -> bool:
@@ -373,35 +361,14 @@ def check_distinctness(cs: ConstraintSystem, box: IntervalBox) -> bool:
     return True
 
 
-def refine_certificate(cert: KrawczykCertificate, cs: ConstraintSystem):
-    """Iterate the Krawczyk operator from the certified box.
-
-    Returns the final enclosure; every iterate must stay inside the
-    certificate's outer box (None on the impossible escape/disjoint case).
-    """
-    eqs = _equations(cs)
-    outer_lo, outer_hi = lo, hi = cert.box.lo, cert.box.hi
-    for _ in range(KRAWCZYK_ITERATIONS):
-        image = _krawczyk_image(cs, eqs, lo, hi, cert.slices)
-        if isinstance(image, str):
-            return None
-        cut_lo = tuple(map(max, image[0], lo))
-        cut_hi = tuple(map(min, image[1], hi))
-        for a, b, ol, oh in zip(cut_lo, cut_hi, outer_lo, outer_hi):
-            if not a <= b or not (ol <= a and b <= oh):
-                return None
-        lo, hi = cut_lo, cut_hi
-    return IntervalBox(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Newton polish (float heuristic feeding the certified test)
 
-def _polish(cs: ConstraintSystem, eqs, start: np.ndarray, iters: int = 40):
+def _polish(cs: ConstraintSystem, eqs, start: np.ndarray):
     import numpy as np
 
     x = start.astype(float).copy()
-    for _ in range(iters):
+    for _ in range(POLISH_ITERATIONS):
         f, jac = _float_system(cs, eqs, x)
         if np.max(np.abs(f)) < 1e-13:
             break
@@ -452,22 +419,11 @@ def decide_embeddability(
 
     if budget < 1:
         raise ValueError(f"interval budget must be at least 1, not {budget}")
-    stats = dict(
-        contraction_steps=0,
-        boxes_processed=0,
-        boxes_refuted=0,
-        bisections=0,
-        newton_attempts=0,
-        peak_queue=0,
-    )
-
-    def mkstats():
-        return SolverStats(**stats)
-
+    stats = SolverStats()
     try:
         cs = build_constraint_system(g, delta)
     except NoEdgesError:
-        return ProvedEmbeddable(None, mkstats())
+        return ProvedEmbeddable(None, stats)
 
     init = cs.initial_box()
     for k, b in enumerate(resume_boxes or ()):
@@ -477,25 +433,25 @@ def decide_embeddability(
 
     if cs.num_vars == 0:
         # pinned triple satisfies everything exactly
-        return ProvedEmbeddable(prove_root_in_box(init, cs).certificate, mkstats())
+        return ProvedEmbeddable(prove_root_in_box(init, cs), stats)
 
     eqs = _equations(cs)
     # a stack: the last box pushed is the next one popped
     frontier = list(reversed(resume_boxes)) if resume_boxes else [init]
     residuals: list[IntervalBox] = []
 
-    while stats["contraction_steps"] < budget and frontier:
+    while stats.contraction_steps < budget and frontier:
         box = frontier.pop()
-        stats["boxes_processed"] += 1
-        stats["peak_queue"] = max(stats["peak_queue"], len(frontier) + 1)
+        stats.boxes_processed += 1
+        stats.peak_queue = max(stats.peak_queue, len(frontier) + 1)
 
         # contract to (near) fixpoint
         popped = box
         width = sum(map(sub, box.hi, box.lo))
         for _ in range(SWEEPS_PER_BOX):
-            if stats["contraction_steps"] >= budget:
+            if stats.contraction_steps >= budget:
                 break
-            stats["contraction_steps"] += 1
+            stats.contraction_steps += 1
             box, refutation = contract_explain(box, cs)
             if box is None:
                 if verify_refutations and not recheck_refutation_exact(cs, refutation):
@@ -504,7 +460,7 @@ def decide_embeddability(
                     )
                 if on_refuted is not None:
                     on_refuted(popped)
-                stats["boxes_refuted"] += 1
+                stats.boxes_refuted += 1
                 break
             before, width = width, sum(map(sub, box.hi, box.lo))
             if width > before * 0.98:
@@ -513,34 +469,34 @@ def decide_embeddability(
             continue
 
         if box.max_width < NEWTON_MAX_WIDTH:
-            stats["newton_attempts"] += 1
+            stats.newton_attempts += 1
             polished = _polish(cs, eqs, np.array(box.midpoint()))
             pt = tuple(polished.tolist())
             near = np.max(np.abs(_float_system(cs, eqs, polished)[0])) < 1e-9
             if near and check_distinctness(cs, IntervalBox(pt, pt)):
                 for eps in (1e-7, 1e-5, 1e-3):
                     seed = IntervalBox(tuple(polished - eps), tuple(polished + eps))
-                    res = prove_root_in_box(seed, cs, "auto")
-                    if res and check_distinctness(cs, res.certificate.refined):
-                        return ProvedEmbeddable(res.certificate, mkstats())
+                    cert = prove_root_in_box(seed, cs)
+                    if cert is not None and check_distinctness(cs, cert.refined):
+                        return ProvedEmbeddable(cert, stats)
 
         try:
             left, right = bisect(box)
         except WidthUnderflow:
             residuals.append(box)
             continue
-        stats["bisections"] += 1
+        stats.bisections += 1
         frontier += (right, left)
 
     leftovers = tuple(residuals) + tuple(reversed(frontier))
     if not leftovers:
-        return ProvedUnembeddable(delta, mkstats())
+        return ProvedUnembeddable(delta, stats)
     reason = (
         "budget exhausted"
-        if stats["contraction_steps"] >= budget
+        if stats.contraction_steps >= budget
         else "unsplittable boxes remain"
     )
-    return Inconclusive(leftovers, mkstats(), reason)
+    return Inconclusive(leftovers, stats, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,6 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
-    @staticmethod
-    def from_adjacency(adj) -> "Graph":
-        n = len(adj)
-        rows = [0] * n
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                rows[u] |= 1 << v
-        return Graph(n, tuple(rows))
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -237,49 +228,26 @@ def min_degree(g: Graph) -> int:
 
 def every_vertex_in_triangle(g: Graph) -> bool:
     """True iff each vertex lies in at least one 3-clique."""
-    rows = g.rows
-    for v in range(g.n):
-        m = rows[v]
-        found = False
-        while m and not found:
-            b = m & -m
-            m ^= b
-            if rows[v] & rows[b.bit_length() - 1]:
-                found = True
-        if not found:
-            return False
-    return True
+    return triangle_core(g) == (1 << g.n) - 1
 
 
 def triangle_core(g: Graph) -> int:
-    """Bitmask of the vertices left after repeatedly peeling triangle-free ones.
+    """Bitmask of the vertices that lie in a triangle.
 
     A vertex in no triangle can always be assigned 1 in a 101-colouring, so
     colourability of g equals colourability of the core.
     """
     rows = g.rows
-    alive = (1 << g.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        m = alive
+    core = 0
+    for v, r in enumerate(rows):
+        m = r
         while m:
             b = m & -m
             m ^= b
-            v = b.bit_length() - 1
-            nb = rows[v] & alive
-            t = nb
-            in_tri = False
-            while t:
-                c = t & -t
-                t ^= c
-                if rows[c.bit_length() - 1] & nb:
-                    in_tri = True
-                    break
-            if not in_tri:
-                alive ^= b
-                changed = True
-    return alive
+            if r & rows[b.bit_length() - 1]:
+                core |= 1 << v
+                break
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +308,6 @@ def graph6_decode(text: str) -> Graph:
 
 def to_adjacency_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "adj": [g.neighbors(v) for v in range(g.n)]})
-
-
-def from_adjacency_json(text: str) -> Graph:
-    data = json.loads(text)
-    if data["n"] != len(data["adj"]):
-        raise ValueError("adjacency list length does not match n")
-    return Graph.from_adjacency(data["adj"])
 
 
 # ---------------------------------------------------------------------------

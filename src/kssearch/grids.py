@@ -8,7 +8,6 @@ certificate of embeddability.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,9 +44,6 @@ class GridSystem:
     N: int
     directions: tuple[Vec, ...]
     graph: Graph = field(repr=False)  # vertex i is directions[i]; edge iff dot product 0
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "directions": [list(d) for d in self.directions]})
 
 
 def generate_grid(n: int) -> GridSystem:

@@ -534,8 +534,6 @@ class SubtreeTicket:
     def from_id(text: str) -> "SubtreeTicket":
         head, _, hexpart = text.partition(":")
         n = int(head)
-        if n == 1:
-            return SubtreeTicket(Graph(1, (0,)))
         return SubtreeTicket(graph_from_code(n, code_from_hex(n, hexpart)))
 
 

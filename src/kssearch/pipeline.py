@@ -31,7 +31,7 @@ from .grids import MAX_GRID_N, get_grid, grid_embed, validate_grid_embedding
 from .constraints import DEFAULT_DELTA, MIN_DELTA
 from .embedding import decide_embeddability
 # unread here, but perfbench/spans.py traces pipeline.read_records
-from .catalog import CatalogRecord, compact, read_records, write_synced
+from .catalog import CatalogRecord, compact, read_records, require_type, write_synced
 
 DEFAULT_GRID_LADDER = (1, 2, 3, 4, 5, 8)
 DEFAULT_INTERVAL_BUDGET = 20_000
@@ -74,7 +74,8 @@ class JobSpec:
     @staticmethod
     def from_json(text: str) -> "JobSpec":
         """The spec of one ``spec.json``; ValueError naming the key unless it
-        is a JSON object with exactly the fields of JobSpec."""
+        is a JSON object with exactly the fields of JobSpec, each of its type
+        (ints not bools, a number for delta, a list of ints for the ladder)."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("job spec is not a JSON object")
@@ -82,9 +83,15 @@ class JobSpec:
         for key in data:
             if key not in names:
                 raise ValueError(f"job spec has unknown key {key!r}")
-        for key in names:
-            if key not in data:
-                raise ValueError(f"job spec has no {key!r} key")
+        # JSON kinds by field annotation; a ladder is a list of ints
+        kinds = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+                 "tuple[int, ...]": (list,)}
+        for f in fields(JobSpec):
+            if f.name not in data:
+                raise ValueError(f"job spec has no {f.name!r} key")
+            require_type("job spec", f.name, data[f.name], *kinds[f.type])
+        for entry in data["grid_ladder"]:
+            require_type("job spec", "grid_ladder", entry, int)
         data["grid_ladder"] = tuple(data["grid_ladder"])
         return JobSpec(**data)
 

@@ -23,6 +23,7 @@ from kssearch.embedding import (
     Inconclusive,
     ProvedEmbeddable,
     ProvedUnembeddable,
+    _equations,
     checkpoint_from_json,
     checkpoint_to_json,
     check_distinctness,
@@ -188,7 +189,7 @@ def test_k3_embeddable():
     assert isinstance(v, ProvedEmbeddable)
     # the certificate of the constant system, with nothing left free
     cs = build_constraint_system(K3)
-    assert v.certificate == prove_root_in_box(cs.initial_box(), cs).certificate
+    assert v.certificate == prove_root_in_box(cs.initial_box(), cs)
     assert len(v.certificate.refined) == 0 and v.certificate.iterations == 0
 
 
@@ -197,25 +198,19 @@ def test_k13_certificate_from_seed_box():
     s2 = 1 / math.sqrt(2)
     pt = [0.0, 0.0, 1.0, 0.0, s2, s2]
     box = around(pt, 1e-3)
-    res = prove_root_in_box(box, cs, "auto")
-    assert res.certificate is not None
-    assert check_distinctness(cs, res.certificate.box)
+    cert = prove_root_in_box(box, cs)
+    assert cert is not None
+    assert check_distinctness(cs, cert.box)
 
 
 def test_certificate_survives_further_refinement():
-    from kssearch.embedding import refine_certificate
-
     cs = build_constraint_system(K13)
     s2 = 1 / math.sqrt(2)
     pt = [0.0, 0.0, 1.0, 0.0, s2, s2]
     box = around(pt, 1e-3)
-    res = prove_root_in_box(box, cs, "auto")
-    # ten further operator iterations stay inside the certified box
-    final = refine_certificate(res.certificate, cs)
-    assert final is not None
-    # and re-running the containment test on the outer box re-certifies
-    again = prove_root_in_box(res.certificate.box, cs, res.certificate.slices)
-    assert again.certificate is not None
+    cert = prove_root_in_box(box, cs)
+    # re-running the containment test on the outer box re-certifies
+    assert prove_root_in_box(cert.box, cs, cert.slices) is not None
 
 
 def test_no_certificate_for_empty_region():
@@ -223,16 +218,20 @@ def test_no_certificate_for_empty_region():
     cs = build_constraint_system(K13)
     pt = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
     box = around(pt, 1e-4)
-    res = prove_root_in_box(box, cs, "auto")
-    assert res.certificate is None
+    assert prove_root_in_box(box, cs) is None
 
 
-def test_over_determined_reports_unknown():
-    k5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    cs = build_constraint_system(k5)
-    res = prove_root_in_box(cs.initial_box(), cs, ())
-    assert res.certificate is None
-    assert "over-determined" in res.diagnostic
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),  # over
+        K13,  # under-determined without slices
+    ],
+)
+def test_over_determined_reports_unknown(graph):
+    cs = build_constraint_system(graph)
+    assert len(_equations(cs)) != cs.num_vars
+    assert prove_root_in_box(cs.initial_box(), cs, ()) is None
 
 
 @pytest.mark.parametrize(

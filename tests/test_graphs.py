@@ -14,7 +14,6 @@ from kssearch.graphs import (
     Graph6Error,
     encode_upper_triangle,
     every_vertex_in_triangle,
-    from_adjacency_json,
     graph6_decode,
     graph6_encode,
     graph_from_code,
@@ -143,6 +142,42 @@ def test_triangle_core_peels_everything_triangle_free():
     assert triangle_core(paw) == 0b0111
 
 
+def in_alive_triangle(g: Graph, v: int, alive: set[int]) -> bool:
+    nbrs = [u for u in alive if g.has_edge(u, v)]
+    return any(g.has_edge(u, w) for u, w in itertools.combinations(nbrs, 2))
+
+
+def peeled_core(g: Graph) -> int:
+    """Oracle: peel the vertices in no triangle of the alive subgraph until none is left."""
+    alive = set(range(g.n))
+    while True:
+        doomed = {v for v in alive if not in_alive_triangle(g, v, alive)}
+        if not doomed:
+            return sum(1 << v for v in alive)
+        alive -= doomed
+
+
+def assert_triangle_membership_matches_peel(g: Graph):
+    core = peeled_core(g)
+    assert triangle_core(g) == core
+    assert every_vertex_in_triangle(g) == (core == (1 << g.n) - 1)
+
+
+def test_triangle_membership_matches_peel_on_every_small_graph():
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            assert_triangle_membership_matches_peel(Graph.from_edges(n, edges))
+
+
+@given(st.integers(1, 14), st.integers(0, 2**91 - 1))
+def test_triangle_membership_matches_peel_on_drawn_graphs(n, bits):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
+    assert_triangle_membership_matches_peel(Graph.from_edges(n, edges))
+
+
 def test_graph6_singleton():
     assert graph6_encode(Graph(1, (0,))) == "@"
 
@@ -185,4 +220,5 @@ def test_adjacency_json_roundtrip():
     text = to_adjacency_json(K4)
     data = json.loads(text)
     assert data["n"] == 4 and data["adj"][0] == [1, 2, 3]
-    assert from_adjacency_json(text) == K4
+    edges = [(u, v) for u, nbrs in enumerate(data["adj"]) for v in nbrs]
+    assert Graph.from_edges(data["n"], edges) == K4

@@ -371,10 +371,3 @@ def test_subsystem_stream_truncation_marker():
         enumerate_grid_subsystems(sys2, size_bound=31, budget=1, mode="sample", seeds=(None, 0))
     )
     assert isinstance(out[-1], TruncationMarker)
-
-
-def test_grid_system_json():
-    import json
-
-    data = json.loads(get_grid(1).to_json())
-    assert data["N"] == 1 and len(data["directions"]) == 13

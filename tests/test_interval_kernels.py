@@ -516,7 +516,7 @@ def test_krawczyk_image_matches_interval_oracle(case, eps):
     want = ref_krawczyk_image(cs, eqs, box, slices)
     got = _krawczyk_image(cs, eqs, box.lo, box.hi, slices)
     if isinstance(want, str):
-        assert got == want
+        assert got is None
     else:
         assert _hex(IntervalBox(*got)) == _hex(to_box(want))
 

@@ -76,6 +76,12 @@ def test_record_consistency_enforced():
         ('{"n": 3, "flags": {}}', "'graph6'"),
         ('{"graph6": "Bw", "flags": {}}', "'n'"),
         ("[1]", "JSON object"),
+        ('{"graph6": 3, "n": 3, "flags": {}}', "'graph6'"),
+        ('{"graph6": "Bw", "n": true, "flags": {}}', "'n'"),
+        ('{"graph6": "Bw", "n": "3", "flags": {}}', "'n'"),
+        ('{"graph6": "Bw", "n": 3, "flags": [1]}', "'flags'"),  # was an AttributeError
+        ('{"graph6": "Bw", "n": 3, "flags": {}, "grid": []}', "'grid'"),
+        ('{"graph6": "Bw", "n": 3, "flags": {}, "interval": 1}', "'interval'"),
     ],
 )
 def test_record_from_json_names_missing_key(line, message):
@@ -262,6 +268,14 @@ def _edit_json_lines(path, edit) -> None:
         (lambda d: d.update(bogus=1), "unknown key 'bogus'"),  # was a TypeError
         (lambda d: d.pop("workers"), "'workers'"),
         (lambda d: d.pop("n_max"), "'n_max'"),  # was a TypeError
+        (lambda d: d.update(grid_ladder=5), "'grid_ladder'"),  # was a TypeError
+        (lambda d: d.update(grid_ladder=[1, True]), "'grid_ladder'"),
+        (lambda d: d.update(n_max="4"), "'n_max'"),
+        (lambda d: d.update(workers=True), "'workers'"),
+        (lambda d: d.update(interval_budget=None), "'interval_budget'"),
+        (lambda d: d.update(delta="0.01"), "'delta'"),
+        (lambda d: d.update(out_dir=7), "'out_dir'"),
+        (lambda d: d.update(square_free=1), "'square_free'"),
     ],
 )
 def test_resume_rejects_malformed_spec(tmp_path, capsys, edit, message):
@@ -277,7 +291,17 @@ def test_resume_rejects_malformed_spec(tmp_path, capsys, edit, message):
     assert err.startswith("error:") and message in err, err
 
 
-def test_record_line_without_flags_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.pop("flags"), "'flags'"),  # was a KeyError
+        (lambda d: d.update(flags=[1]), "'flags'"),  # was an AttributeError
+        (lambda d: d.update(n="4"), "'n'"),
+        (lambda d: d.update(grid=5), "'grid'"),
+        (lambda d: d.update(interval="x"), "'interval'"),
+    ],
+)
+def test_malformed_record_line_is_a_usage_error(tmp_path, capsys, edit, message):
     from kssearch.cli import EXIT_USAGE, main
 
     spec = spec_for(tmp_path / "j", 4)
@@ -289,10 +313,10 @@ def test_record_line_without_flags_is_a_usage_error(tmp_path, capsys):
         (catalog, ["report", "--catalog", catalog]),
         (shard, ["pipeline", "--n", "1..4", "--out", spec.out_dir, "--resume"]),  # in compact
     ]:
-        _edit_json_lines(path, lambda d: d.pop("flags"))
-        assert main(argv) == EXIT_USAGE  # was a KeyError
+        _edit_json_lines(path, edit)
+        assert main(argv) == EXIT_USAGE
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {path}, line 1: ") and "'flags'" in err, err
+        assert out == "" and err.startswith(f"error: {path}, line 1: ") and message in err, err
 
 
 def test_ticket_accounting(tmp_path):
