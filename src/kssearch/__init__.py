@@ -37,7 +37,6 @@ from .colouring import (
     validate_101,
 )
 from .grids import (
-    EmbedBudgetExceeded,
     GridEmbedding,
     GridSystem,
     direction_count,

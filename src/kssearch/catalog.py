@@ -9,6 +9,7 @@ runs compare byte-identical.  Every job file is written through
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -75,7 +76,9 @@ class CatalogRecord:
         """Parse one line; keys outside the record (older shards' provenance
         stamps) are ignored.  ValueError naming the key unless the line is a
         JSON object with a string graph6, an int n and a dict of flags, and
-        its grid and interval, when given, are dicts or null."""
+        its grid and interval, when given, are dicts or null.  In the grid,
+        embedded_n and tried_up_to are ints or null and a witness is a list
+        of three-int lists; an interval has a finite number delta."""
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError("record line is not a JSON object")
@@ -85,12 +88,26 @@ class CatalogRecord:
             require_type("record line", key, data[key], *kinds)
         for key in ("grid", "interval"):
             require_type("record line", key, data.get(key), dict, type(None))
+        grid = data.get("grid") or {"embedded_n": None, "tried_up_to": None}
+        for key in ("embedded_n", "tried_up_to"):
+            require_type("record grid", key, grid.get(key), int, type(None))
+        witness = grid.get("witness")
+        require_type("record grid", "witness", witness, list, type(None))
+        for v in witness or ():
+            if not (isinstance(v, list) and len(v) == 3 and all(type(c) is int for c in v)):
+                raise ValueError(f"record grid 'witness' vector {v!r} is not three ints")
+        interval = data.get("interval")
+        if interval is not None:
+            delta = interval.get("delta")
+            require_type("record interval", "delta", delta, int, float)
+            if not math.isfinite(delta):
+                raise ValueError(f"record interval 'delta' value {delta!r} is not finite")
         return CatalogRecord(
             graph6=data["graph6"],
             n=data["n"],
             flags=data["flags"],
-            grid=data.get("grid") or {"embedded_n": None, "tried_up_to": None},
-            interval=data.get("interval"),
+            grid=grid,
+            interval=interval,
             tool_version=data.get("tool_version", "unknown"),
         )
 

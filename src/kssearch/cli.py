@@ -19,7 +19,6 @@ from .graphs import (
     graph6_decode,
     graph6_encode,
     random_graphs,
-    to_adjacency_json,
 )
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import export_dimacs_101, solve_101, witness_to_json
@@ -66,9 +65,9 @@ def _parse_filters(text: str) -> Filters:
     return Filters(square_free="square-free" in names, connected="connected" in names)
 
 
-def _input_graphs(args):
+def _input_graphs(args, stack: contextlib.ExitStack):
     if args.input and args.input != "-":
-        text = open(args.input).read()
+        text = stack.enter_context(open(args.input)).read()
     else:
         text = sys.stdin.read()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -82,9 +81,9 @@ def _input_graphs(args):
             sys.exit(EXIT_USAGE)
 
 
-def _out_stream(args):
+def _out_stream(args, stack: contextlib.ExitStack):
     if args.out and args.out != "-":
-        return open(args.out, "w")
+        return stack.enter_context(open(args.out, "w"))
     return sys.stdout
 
 
@@ -98,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tickets-depth", type=int, default=None,
                     help="list subtree tickets at this depth instead of enumerating")
     pe.add_argument("--ticket", default=None, help="enumerate only this subtree")
-    pe.add_argument("--adjacency-json", action="store_true",
-                    help="emit adjacency-list JSON instead of graph6")
     pe.add_argument("--out", default="-")
 
     pc = sub.add_parser("colour", help="decide 101-colourability of input graphs")
@@ -165,30 +162,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        with contextlib.ExitStack() as stack:
+            return _dispatch(args, stack)
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, stack: contextlib.ExitStack) -> int:
+    """Run one command; files it opens are closed when ``stack`` is."""
     cmd = args.command
 
     if cmd == "enumerate":
         filters = _parse_filters(args.filters)
-        out = _out_stream(args)
+        out = _out_stream(args, stack)
         if args.tickets_depth is not None and args.ticket is None:
             for t in list_tickets(args.tickets_depth, filters):
                 out.write(t.ticket_id + "\n")
             return EXIT_OK
         ticket = SubtreeTicket.from_id(args.ticket) if args.ticket else None
         for g in enumerate_graphs(args.n, filters, ticket):
-            out.write(to_adjacency_json(g) + "\n" if args.adjacency_json else graph6_encode(g) + "\n")
+            out.write(graph6_encode(g) + "\n")
         return EXIT_OK
 
     if cmd == "colour":
-        out = _out_stream(args)
-        for g in _input_graphs(args):
+        out = _out_stream(args, stack)
+        for g in _input_graphs(args, stack):
             w = solve_101(g)
             rec = {"graph6": graph6_encode(g), "colourable": w is not None}
             if w is not None:
@@ -197,9 +196,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "embed-grid":
-        out = _out_stream(args)
+        out = _out_stream(args, stack)
         sys_ = get_grid(args.grid_n)
-        for g in _input_graphs(args):
+        for g in _input_graphs(args, stack):
             emb = grid_embed(g, args.grid_n, sys=sys_)
             rec = {"graph6": graph6_encode(g), "grid_n": args.grid_n,
                    "embedded": emb is not None}
@@ -209,7 +208,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "embed-interval":
-        out = _out_stream(args)
+        out = _out_stream(args, stack)
         resume: dict[str, tuple] = {}
         if args.resume:
             with open(args.resume) as fh:
@@ -218,33 +217,32 @@ def _dispatch(args) -> int:
                         g6, delta, boxes = checkpoint_from_json(line)
                         resume[g6] = (delta, boxes)
         exit_code = EXIT_OK
-        with contextlib.ExitStack() as stack:
-            ckpt = None
-            for g in _input_graphs(args):
-                g6 = graph6_encode(g)
-                resume_boxes = None
-                if args.resume:
-                    if g6 not in resume:
-                        raise ValueError(f"checkpoint {args.resume} has no line for graph {g6}")
-                    resume_delta, resume_boxes = resume[g6]
-                    if resume_delta != args.delta:
-                        raise ValueError(
-                            f"checkpoint of {g6} was made at delta {resume_delta}, "
-                            f"not --delta {args.delta}"
-                        )
-                verdict = decide_embeddability(
-                    g, budget=args.budget, delta=args.delta, resume_boxes=resume_boxes
-                )
-                rec = json.loads(verdict_to_json(verdict, delta=args.delta, budget=args.budget))
-                rec["graph6"] = g6
-                out.write(json.dumps(rec) + "\n")
-                if isinstance(verdict, Inconclusive):
-                    exit_code = EXIT_BUDGET
-                    if args.checkpoint_out:
-                        if ckpt is None:
-                            ckpt = stack.enter_context(open(args.checkpoint_out, "w"))
-                        ckpt.write(checkpoint_to_json(g, args.delta, verdict) + "\n")
-                        ckpt.flush()
+        ckpt = None
+        for g in _input_graphs(args, stack):
+            g6 = graph6_encode(g)
+            resume_boxes = None
+            if args.resume:
+                if g6 not in resume:
+                    raise ValueError(f"checkpoint {args.resume} has no line for graph {g6}")
+                resume_delta, resume_boxes = resume[g6]
+                if resume_delta != args.delta:
+                    raise ValueError(
+                        f"checkpoint of {g6} was made at delta {resume_delta}, "
+                        f"not --delta {args.delta}"
+                    )
+            verdict = decide_embeddability(
+                g, budget=args.budget, delta=args.delta, resume_boxes=resume_boxes
+            )
+            rec = json.loads(verdict_to_json(verdict, delta=args.delta, budget=args.budget))
+            rec["graph6"] = g6
+            out.write(json.dumps(rec) + "\n")
+            if isinstance(verdict, Inconclusive):
+                exit_code = EXIT_BUDGET
+                if args.checkpoint_out:
+                    if ckpt is None:
+                        ckpt = stack.enter_context(open(args.checkpoint_out, "w"))
+                    ckpt.write(checkpoint_to_json(g, args.delta, verdict) + "\n")
+                    ckpt.flush()
         return exit_code
 
     if cmd == "pipeline":
@@ -284,7 +282,7 @@ def _dispatch(args) -> int:
 
     if cmd == "random-graphs":
         filters = _parse_filters(args.filters) if args.filters else Filters(False, False)
-        out = _out_stream(args)
+        out = _out_stream(args, stack)
         for g in random_graphs(
             args.n,
             args.count,
@@ -297,20 +295,20 @@ def _dispatch(args) -> int:
 
     if cmd == "report":
         records = read_records(args.catalog)
-        out = _out_stream(args)
+        out = _out_stream(args, stack)
         out.write(report_counts(records))
         return EXIT_OK
 
     if cmd == "export-cnf":
-        out = _out_stream(args)
-        for g in _input_graphs(args):
+        out = _out_stream(args, stack)
+        for g in _input_graphs(args, stack):
             out.write(f"c graph {graph6_encode(g)}\n")
             out.write(export_dimacs_101(g))
         return EXIT_OK
 
     if cmd == "export-poly":
-        out = _out_stream(args)
-        for g in _input_graphs(args):
+        out = _out_stream(args, stack)
+        for g in _input_graphs(args, stack):
             poly = export_polynomial(g)
             out.write(f"# graph {graph6_encode(g)}\n")
             out.write("# legend:\n")

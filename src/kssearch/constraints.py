@@ -92,35 +92,21 @@ def build_constraint_system(g: Graph, delta: float = DEFAULT_DELTA) -> Constrain
     free = tuple(v for v in range(g.n) if v not in pin_axis)
     slot = {v: s for s, v in enumerate(free)}
 
-    coord_zero = []
-    dot_pairs = []
-    for u, v in g.edges():
-        pu, pv = u in pin_axis, v in pin_axis
-        if pu and pv:
-            # axis vectors are mutually orthogonal: constant check holds
-            continue
-        if pu:
-            coord_zero.append((slot[v], pin_axis[u]))
-        elif pv:
-            coord_zero.append((slot[u], pin_axis[v]))
-        else:
-            dot_pairs.append((slot[u], slot[v]))
-
-    sep_pairs = []
-    sep_coords = []
+    # an edge asks for orthogonality, a non-edge for separation: against a
+    # pinned axis that bounds one coordinate, between free vertices a dot product
+    coord_zero, dot_pairs, sep_coords, sep_pairs = [], [], [], []
     for a in range(g.n):
         for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                continue
+            coords, pairs = (coord_zero, dot_pairs) if g.has_edge(a, b) else (sep_coords, sep_pairs)
             pa, pb = a in pin_axis, b in pin_axis
             if pa and pb:
-                continue  # distinct axes by construction
+                continue  # distinct, mutually orthogonal axes by construction
             if pa:
-                sep_coords.append((slot[b], pin_axis[a]))
+                coords.append((slot[b], pin_axis[a]))
             elif pb:
-                sep_coords.append((slot[a], pin_axis[b]))
+                coords.append((slot[a], pin_axis[b]))
             else:
-                sep_pairs.append((slot[a], slot[b]))
+                pairs.append((slot[a], slot[b]))
 
     return ConstraintSystem(
         graph=g,

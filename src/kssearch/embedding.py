@@ -388,7 +388,6 @@ def decide_embeddability(
     delta: float = DEFAULT_DELTA,
     *,
     verify_refutations: bool = False,
-    on_refuted=None,
     resume_boxes=None,
 ) -> Verdict:
     """Branch-and-prune verdict on embeddability as a vector system.
@@ -446,7 +445,6 @@ def decide_embeddability(
         stats.peak_queue = max(stats.peak_queue, len(frontier) + 1)
 
         # contract to (near) fixpoint
-        popped = box
         width = sum(map(sub, box.hi, box.lo))
         for _ in range(SWEEPS_PER_BOX):
             if stats.contraction_steps >= budget:
@@ -458,8 +456,6 @@ def decide_embeddability(
                     raise AssertionError(
                         f"exact shadow check failed for {refutation.kind}"
                     )
-                if on_refuted is not None:
-                    on_refuted(popped)
                 stats.boxes_refuted += 1
                 break
             before, width = width, sum(map(sub, box.hi, box.lo))

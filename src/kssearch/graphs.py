@@ -11,12 +11,12 @@ orthogonality graphs, so its own cap is looser.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 MAX_VERTICES = 4096
 ENUM_MAX_VERTICES = 64
+RANDOM_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 class Graph6Error(ValueError):
@@ -74,9 +74,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -304,24 +301,16 @@ def graph6_decode(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# JSON adjacency export (human inspection)
-
-def to_adjacency_json(g: Graph) -> str:
-    return json.dumps({"n": g.n, "adj": [g.neighbors(v) for v in range(g.n)]})
-
-
-# ---------------------------------------------------------------------------
 # Seeded random graphs
 
 def random_graphs(
     n: int,
     count: int,
     seed: int,
-    densities: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
     require_square_free: bool = False,
     require_connected: bool = False,
 ):
-    """Seeded random graphs, edges uniform at a fixed density ladder.
+    """Seeded random graphs, edges uniform at each of ``RANDOM_DENSITIES`` in turn.
 
     The distribution is this artifact's own choice (it does not claim to
     replicate any published campaign); filters resample until satisfied.
@@ -329,7 +318,7 @@ def random_graphs(
     rng = random.Random(seed)
     made = 0
     while made < count:
-        p = densities[made % len(densities)]
+        p = RANDOM_DENSITIES[made % len(RANDOM_DENSITIES)]
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]

@@ -20,10 +20,6 @@ Vec = tuple[int, int, int]
 MAX_GRID_N = 32
 
 
-class EmbedBudgetExceeded(RuntimeError):
-    """grid_embed hit its node limit before exhausting the search."""
-
-
 def normalize_direction(v: Vec) -> Vec:
     """Antipodal representative: first nonzero coordinate in (z, y, x) precedence positive."""
     x, y, z = v
@@ -167,7 +163,6 @@ def validate_grid_embedding(g: Graph, emb: GridEmbedding) -> bool:
 def grid_embed(
     g: Graph,
     n: int,
-    node_limit: int | None = None,
     sys: GridSystem | None = None,
 ) -> GridEmbedding | None:
     """Backtracking assignment of vertices to grid-N directions.
@@ -182,8 +177,7 @@ def grid_embed(
     representative per grid-symmetry orbit, axis images first, which
     together cover the full search space.
     A pin is a candidate set of one direction, placed by the search like any
-    other vertex, so the node count includes pin placements.  Raises
-    :class:`EmbedBudgetExceeded` when the count passes ``node_limit``.
+    other vertex.
     """
     if not is_square_free(g):
         return None
@@ -204,20 +198,15 @@ def grid_embed(
     rest = sorted((v for v in range(g.n) if v not in pinned), key=lambda v: (-g.degree(v), v))
     vorder = pinned + rest
     full = (1 << len(dirs)) - 1
-    nodes = 0
 
     def search(cand: list[int], depth: int) -> list[int] | None:
         """Place vorder[depth:]; a placed vertex's candidate set is its direction's bit."""
-        nonlocal nodes
         if depth == g.n:
             return cand
         v = vorder[depth]
         adj = g.rows[v]
         m = cand[v]
         while m:
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                raise EmbedBudgetExceeded(f"grid_embed exceeded {node_limit} nodes")
             b = m & -m
             m ^= b
             d = b.bit_length() - 1

@@ -32,7 +32,8 @@ from .graphs import (
 )
 
 # canonical_label's budget, counted in nodes of its cell search: one node per
-# ordered partition visited, however many vertices its last cell placed
+# ordered partition visited, however many vertices its last cell placed; read
+# at each call
 DEFAULT_NODE_LIMIT = 5_000_000
 ORACLE_MAX_N = 7
 
@@ -161,12 +162,12 @@ def is_canonical(g: Graph, connected: bool | None = None) -> bool:
     return rec(0, 0, 0, 0)
 
 
-def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
+def canonical_label(g: Graph) -> Graph:
     """The relabeling of g with the greatest code.
 
     Two graphs are isomorphic iff their canonical labels have equal codes.
     Raises :class:`CanonicalBudgetExceeded` when the search tree outgrows
-    ``node_limit`` nodes.
+    ``DEFAULT_NODE_LIMIT`` nodes.
 
     Branch-and-bound over ordered partitions.  The placed vertices form
     cells, each on a contiguous range of positions with its inner order left
@@ -202,6 +203,7 @@ def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
     best_cols[0] = 0
     best_cells: tuple[tuple[int, int], ...] = ()
     nodes = 0
+    limit = DEFAULT_NODE_LIMIT
 
     def reach(cell: int) -> int:
         """The union of the neighbourhoods of the cell's members."""
@@ -300,10 +302,8 @@ def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
     def rec(depth: int, used: int, frontier: int, packed: int, cells, multi: int) -> None:
         nonlocal nodes, best_cells
         nodes += 1
-        if nodes > node_limit:
-            raise CanonicalBudgetExceeded(
-                f"canonical_label exceeded {node_limit} nodes on n={n}"
-            )
+        if nodes > limit:
+            raise CanonicalBudgetExceeded(f"canonical_label exceeded {limit} nodes on n={n}")
         if depth == n:
             best_cells = cells
             return
@@ -361,11 +361,11 @@ def canonical_label(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> Graph:
     return Graph(n, tuple(new_rows))
 
 
-def canonical_code(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> str:
+def canonical_code(g: Graph) -> str:
     """The upper-triangle code of :func:`canonical_label`: a complete
     isomorphism invariant, equal for two graphs exactly when they are
     isomorphic."""
-    return encode_upper_triangle(canonical_label(g, node_limit))
+    return encode_upper_triangle(canonical_label(g))
 
 
 # ---------------------------------------------------------------------------

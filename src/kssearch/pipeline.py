@@ -35,6 +35,7 @@ from .catalog import CatalogRecord, compact, read_records, require_type, write_s
 
 DEFAULT_GRID_LADDER = (1, 2, 3, 4, 5, 8)
 DEFAULT_INTERVAL_BUDGET = 20_000
+EXTRAPOLATE_TO = 30
 
 
 @dataclass
@@ -254,8 +255,9 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # Count reports
 
-def report_counts(records, extrapolate_to: int = 30) -> str:
-    """CSV of per-n counts plus a least-squares log-linear extrapolation column.
+def report_counts(records) -> str:
+    """CSV of per-n counts plus a least-squares log-linear extrapolation
+    column, with rows through n = ``EXTRAPOLATE_TO`` at least.
 
     The extrapolation column is a fit, never data; rows beyond the observed
     range carry only the fit.
@@ -279,7 +281,7 @@ def report_counts(records, extrapolate_to: int = 30) -> str:
         slope = (m * sxy - sx * sy) / denom
         intercept = (sy - slope * sx) / m
     lines = ["n,count,extrapolated_log10_count"]
-    top = max(extrapolate_to, ns[-1])
+    top = max(EXTRAPOLATE_TO, ns[-1])
     for n in range(ns[0], top + 1):
         count = per_n.get(n, "")
         fit = f"{slope * n + intercept:.3f}" if have_fit else ""

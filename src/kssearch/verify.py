@@ -1,7 +1,9 @@
 """Named verification bundles: the paper's reproducible checks, one source each.
 
-Each bundle returns ``{name, passed, details}``.  The CLI's ``verify-known``
-command and the acceptance suite both run them through :func:`verify_known`.
+Each bundle takes the directory for witness artifacts (only the odd-grid
+bundle writes any) and returns ``{passed, details}``.  The CLI's
+``verify-known`` command and the acceptance suite both run them through
+:func:`verify_known`, which adds the bundle's name.
 """
 
 from __future__ import annotations
@@ -21,33 +23,23 @@ from .grids import (
     minimize_uncolourable,
     validate_grid_embedding,
 )
-from .orderly import brute_force_classes, canonical_code, enumerate_graphs, is_canonical
-
-KNOWN_BUNDLES = (
-    "grid-counts",
-    "odd-grid-colourability",
-    "n2-critical-31",
-    "counts-vs-oracle",
-    "prop5-prefixes",
+from .orderly import (
+    ORACLE_MAX_N,
+    brute_force_classes,
+    canonical_code,
+    enumerate_graphs,
+    is_canonical,
 )
 
 
 def verify_known(name: str, out_dir: str | None = None) -> dict:
     """Run one acceptance bundle; returns {name, passed, details}."""
-    if name == "grid-counts":
-        return _verify_grid_counts()
-    if name == "odd-grid-colourability":
-        return _verify_odd_grids(out_dir)
-    if name == "n2-critical-31":
-        return _verify_n2_critical()
-    if name == "counts-vs-oracle":
-        return _verify_counts_vs_oracle()
-    if name == "prop5-prefixes":
-        return _verify_prefix_properties()
-    raise ValueError(f"unknown bundle {name!r}; choose from {KNOWN_BUNDLES}")
+    if name not in _BUNDLES:
+        raise ValueError(f"unknown bundle {name!r}; choose from {KNOWN_BUNDLES}")
+    return {"name": name, **_BUNDLES[name](out_dir)}
 
 
-def _verify_grid_counts() -> dict:
+def _verify_grid_counts(out_dir: str | None) -> dict:
     """Brute-force surface direction counts against the formula, N = 1..12."""
     details = {}
     passed = True
@@ -58,7 +50,7 @@ def _verify_grid_counts() -> dict:
         passed &= got == want
     for n, want in ((1, 13), (2, 49), (4, 193)):
         passed &= details[f"N={n}"]["directions"] == want
-    return {"name": "grid-counts", "passed": passed, "details": details}
+    return {"passed": passed, "details": details}
 
 
 def _verify_odd_grids(out_dir: str | None) -> dict:
@@ -77,10 +69,10 @@ def _verify_odd_grids(out_dir: str | None) -> dict:
     w15 = solve_101(get_grid(15).graph)
     details["N=15"] = {"colourable": w15 is not None}
     passed &= w15 is None
-    return {"name": "odd-grid-colourability", "passed": passed, "details": details}
+    return {"passed": passed, "details": details}
 
 
-def _verify_n2_critical() -> dict:
+def _verify_n2_critical(out_dir: str | None) -> dict:
     """Greedy minimisation of the N=2 grid from five scan orders: every
     critical subsystem has at least 31 vertices, the 31-vertex ones share one
     canonical label, and that graph re-embeds on N=2 within a second."""
@@ -110,28 +102,28 @@ def _verify_n2_critical() -> dict:
     }
     passed = uncolourable and all(s >= 31 for s in sizes) and len(labels) == 1
     if sub31 is None:
-        return {"name": "n2-critical-31", "passed": False, "details": details}
+        return {"passed": False, "details": details}
     t0 = time.perf_counter()
     emb = grid_embed(sub31.graph, 2, sys=sys2)
     embed_seconds = time.perf_counter() - t0
     details["embed_n2_seconds"] = embed_seconds
     passed = passed and emb is not None and validate_grid_embedding(sub31.graph, emb)
     passed = passed and embed_seconds < 1.0
-    return {"name": "n2-critical-31", "passed": passed, "details": details}
+    return {"passed": passed, "details": details}
 
 
-def _verify_counts_vs_oracle(n_max: int = 7) -> dict:
+def _verify_counts_vs_oracle(out_dir: str | None) -> dict:
     details = {}
     passed = True
-    for n in range(1, n_max + 1):
+    for n in range(1, ORACLE_MAX_N + 1):
         oracle = {encode_upper_triangle(g) for g in brute_force_classes(n)}
         enum = {encode_upper_triangle(g) for g in enumerate_graphs(n)}
         details[f"n={n}"] = {"oracle": len(oracle), "enumerated": len(enum)}
         passed &= oracle == enum
-    return {"name": "counts-vs-oracle", "passed": passed, "details": details}
+    return {"passed": passed, "details": details}
 
 
-def _verify_prefix_properties(n_max: int = 8) -> dict:
+def _verify_prefix_properties(out_dir: str | None, n_max: int = 8) -> dict:
     """Every leading principal submatrix of an enumerated graph is canonical
     and connected (prefix-closedness and connected-prefix pruning)."""
     passed = True
@@ -143,8 +135,14 @@ def _verify_prefix_properties(n_max: int = 8) -> dict:
                 if not (is_canonical(prefix) and is_connected(prefix)):
                     passed = False
                 checked += 1
-    return {
-        "name": "prop5-prefixes",
-        "passed": passed,
-        "details": {"prefixes_checked": checked, "n_max": n_max},
-    }
+    return {"passed": passed, "details": {"prefixes_checked": checked, "n_max": n_max}}
+
+
+_BUNDLES = {
+    "grid-counts": _verify_grid_counts,
+    "odd-grid-colourability": _verify_odd_grids,
+    "n2-critical-31": _verify_n2_critical,
+    "counts-vs-oracle": _verify_counts_vs_oracle,
+    "prop5-prefixes": _verify_prefix_properties,
+}
+KNOWN_BUNDLES = tuple(_BUNDLES)

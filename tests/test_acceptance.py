@@ -10,7 +10,9 @@ import time
 
 import pytest
 
-from kssearch.graphs import Graph, encode_upper_triangle
+from kssearch import embedding
+from kssearch.constraints import build_constraint_system
+from kssearch.graphs import Graph, encode_upper_triangle, graph6_decode
 from kssearch.orderly import enumerate_graphs
 from kssearch.colouring import is_k_colourable, solve_101
 from kssearch.grids import (
@@ -177,7 +179,7 @@ def test_criterion_08_small_graph_embeddability(small_graphs):
     )
 
 
-def test_criterion_09_property_suites():
+def test_criterion_09_property_suites(monkeypatch):
     # canonicity prefix-closedness and connected-prefix pruning, n <= 8
     prefixes = verify_known("prop5-prefixes")
     ok = prefixes["passed"]
@@ -219,22 +221,35 @@ def test_criterion_09_property_suites():
         if not (enc[0] <= true_val <= enc[1]):
             ok = False
         enc_trials += 1
-    # planted-point cover conservation
-    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    planted = [3 / 5, 4 / 5, 0.0]
-    violations = []
+    # planted-point cover conservation: no sweep whose box holds the star
+    # K_{1,5}'s unit-scaled N = 2 grid embedding refutes the box or drops it
+    star = graph6_decode("Esa?")
+    cs = build_constraint_system(star, 1e-4)
+    mapping = grid_embed(star, 2).mapping
+    ok &= all(mapping[v] == tuple(2 * c for c in axis) for v, axis in cs.pinned)
+    planted = [c / math.hypot(*mapping[v]) for v in cs.free for c in mapping[v]]
+    sweep = embedding.contract_explain
+    refuted, held, violations = [], [], []
 
-    def watch(box):
+    def checked_sweep(box, system):
+        out, refutation = sweep(box, system)
+        if out is None:
+            refuted.append(box)
         if box.contains_point(planted):
-            violations.append(box)
+            held.append(box)
+            if out is None or not out.contains_point(planted):
+                violations.append(box)
+        return out, refutation
 
-    decide_embeddability(paw, budget=1500, delta=1e-6, on_refuted=watch)
-    ok &= not violations
+    monkeypatch.setattr(embedding, "contract_explain", checked_sweep)
+    decide_embeddability(star, budget=3_000, delta=1e-4)
+    ok &= refuted != [] and held != [] and violations == []
     report(
         9,
         "property suites (prefixes, 3col=>101col, Prop 1, enclosure, planted cover)",
         ok,
-        f"prefixes={checked} implications={implication_checked} enclosures={enc_trials}",
+        f"prefixes={checked} implications={implication_checked} enclosures={enc_trials} "
+        f"refuted={len(refuted)} planted_sweeps={len(held)} violations={len(violations)}",
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kssearch.graphs import Graph, graph6_decode
+from kssearch.grids import grid_embed
 from kssearch.constraints import (
     ConstraintSystem,
     NoEdgesError,
@@ -234,24 +235,29 @@ def test_over_determined_reports_unknown(graph):
     assert prove_root_in_box(cs.initial_box(), cs, ()) is None
 
 
-@pytest.mark.parametrize(
-    "graph,planted",
-    [
-        (PAW, [3 / 5, 4 / 5, 0.0]),
-        (P4, [3 / 5, 0.0, 4 / 5, -4 / 5, 0.0, 3 / 5]),
-    ],
-)
-def test_planted_point_never_in_refuted_box(graph, planted):
-    cs = build_constraint_system(graph, 1e-6)
-    assert cs.num_vars == len(planted)
+def test_planted_point_never_in_refuted_box(monkeypatch):
+    # the star K_{1,5}: its N = 2 grid embedding pins vertices 0 and 1 on the
+    # axes that cs pins, so the unit-scaled free directions are a point of
+    # cs's box, and the solver refutes boxes around it
+    g = graph6_decode("Esa?")
+    cs = build_constraint_system(g, 1e-4)
+    mapping = grid_embed(g, 2).mapping
+    assert all(mapping[v] == tuple(2 * c for c in axis) for v, axis in cs.pinned)
+    planted = [c / math.hypot(*mapping[v]) for v in cs.free for c in mapping[v]]
+    sweep = embedding.contract_explain
+    counts = {"refuted": 0, "held": 0}
 
-    seen = []
+    def checked_sweep(box, system):
+        out, refutation = sweep(box, system)
+        counts["refuted"] += out is None
+        if box.contains_point(planted):
+            counts["held"] += 1
+            assert out is not None and out.contains_point(planted), "cover conservation violated"
+        return out, refutation
 
-    def watch(box):
-        seen.append(box)
-        assert not box.contains_point(planted), "cover conservation violated"
-
-    decide_embeddability(graph, budget=2000, delta=1e-6, on_refuted=watch)
+    monkeypatch.setattr(embedding, "contract_explain", checked_sweep)
+    decide_embeddability(g, budget=3_000, delta=1e-4)
+    assert counts["refuted"] > 0 and counts["held"] > 0, counts
 
 
 def test_budget_exhaustion_and_resume():

@@ -1,7 +1,6 @@
 """Graph representation, predicates, codes and graph6 round trips."""
 
 import itertools
-import json
 import random
 
 import numpy as np
@@ -20,7 +19,6 @@ from kssearch.graphs import (
     is_connected,
     is_square_free,
     min_degree,
-    to_adjacency_json,
     triangle_core,
     triangles,
 )
@@ -214,11 +212,3 @@ def test_graph6_errors_carry_offset():
     with pytest.raises(Graph6Error) as ei:
         graph6_decode("D" + chr(20))  # invalid character
     assert ei.value.offset == 1
-
-
-def test_adjacency_json_roundtrip():
-    text = to_adjacency_json(K4)
-    data = json.loads(text)
-    assert data["n"] == 4 and data["adj"][0] == [1, 2, 3]
-    edges = [(u, v) for u, nbrs in enumerate(data["adj"]) for v in nbrs]
-    assert Graph.from_edges(data["n"], edges) == K4

@@ -10,8 +10,8 @@ import hypothesis.strategies as st
 
 from kssearch.graphs import Graph, _bits, is_square_free, triangles
 from kssearch.colouring import is_k_colourable, solve_101, validate_101
+from kssearch import grids
 from kssearch.grids import (
-    EmbedBudgetExceeded,
     GridEmbedding,
     TruncationMarker,
     _axis_first,
@@ -138,19 +138,6 @@ def test_embedded_implies_four_colourable():
                     break
             if emb is not None:
                 assert is_k_colourable(g, 4)[0]
-
-
-def test_budget_error_distinct_from_not_found():
-    sub = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
-    with pytest.raises(EmbedBudgetExceeded):
-        grid_embed(sub, 3, node_limit=2)
-
-
-def test_node_count_includes_pins():
-    # K3 on N = 1 embeds on its first pin set: three placements, all pins
-    with pytest.raises(EmbedBudgetExceeded):
-        grid_embed(K3, 1, node_limit=2)
-    assert grid_embed(K3, 1, node_limit=3) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +291,17 @@ def test_grid_embed_matches_reference_relabelled_candidates(data):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
-def test_uncolourable_graph_on_colourable_grid_needs_no_search(n):
+def test_uncolourable_graph_on_colourable_grid_needs_no_search(n, monkeypatch):
     # a grid embedding would pull the grid's 101-colouring back onto g
     assert solve_101(get_grid(n).graph) is not None
+
+    def no_search(*args):
+        raise AssertionError("grid_embed searched a colourable grid")
+
+    monkeypatch.setattr(grids, "orthogonal_representatives", no_search)
     for g in _n2_candidates():
         assert solve_101(g) is None
-        assert grid_embed(g, n, node_limit=0) is None
+        assert grid_embed(g, n) is None
 
 
 def test_minimize_uncolourable_requires_uncolourable():

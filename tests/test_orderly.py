@@ -18,6 +18,7 @@ from kssearch.graphs import (
     is_connected,
 )
 from kssearch.grids import get_grid, minimize_uncolourable
+from kssearch import orderly
 from kssearch.orderly import (
     DEFAULT_NODE_LIMIT,
     CanonicalBudgetExceeded,
@@ -186,16 +187,17 @@ def test_canonical_label_invariant_under_relabeling():
         assert is_canonical(canonical_label(g))
 
 
-def test_canonical_label_budget():
+def test_canonical_label_budget(monkeypatch):
     g = random_graph(random.Random(1), 9, 0.5)
+    monkeypatch.setattr(orderly, "DEFAULT_NODE_LIMIT", 3)
     with pytest.raises(CanonicalBudgetExceeded):
-        canonical_label(g, node_limit=3)
+        canonical_label(g)
 
 
 # ---------------------------------------------------------------------------
 # canonical_label's cell search against the placement search it replaced
 
-def _reference_canonical_label(g, node_limit=DEFAULT_NODE_LIMIT):
+def _reference_canonical_label(g, limit=DEFAULT_NODE_LIMIT):
     """The earlier canonical_label: branch-and-bound over single placements.
 
     Every tied candidate is placed alone, so ties multiply the tree; kept
@@ -219,10 +221,8 @@ def _reference_canonical_label(g, node_limit=DEFAULT_NODE_LIMIT):
     def rec(depth, used, frontier, packed):
         nonlocal nodes, best_perm
         nodes += 1
-        if nodes > node_limit:
-            raise CanonicalBudgetExceeded(
-                f"canonical_label exceeded {node_limit} nodes on n={n}"
-            )
+        if nodes > limit:
+            raise CanonicalBudgetExceeded(f"canonical_label exceeded {limit} nodes on n={n}")
         if depth == n:
             best_perm = perm.copy()
             return
@@ -291,7 +291,7 @@ def mixed_density_graphs(draw):
 @given(mixed_density_graphs())
 def test_canonical_label_matches_reference_on_drawn_graphs(g):
     try:
-        expected = _reference_canonical_label(g, node_limit=20_000)
+        expected = _reference_canonical_label(g, limit=20_000)
     except CanonicalBudgetExceeded:
         assume(False)
     assert encode_upper_triangle(canonical_label(g)) == encode_upper_triangle(expected)

@@ -1,10 +1,12 @@
 """Job orchestration: catalog persistence, resume, determinism, CLI, reports."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -69,6 +71,13 @@ def test_record_consistency_enforced():
         )
 
 
+def embedded_line(interval, **grid):
+    """A record line of a grid-embedded graph (N = 1) with these values."""
+    flags = {"square_free": True, "four_colourable": True}
+    grid = {"embedded_n": 1, "tried_up_to": 1, **grid}
+    return json.dumps({"graph6": "Bw", "n": 3, "flags": flags, "grid": grid, "interval": interval})
+
+
 @pytest.mark.parametrize(
     "line,message",
     [
@@ -82,6 +91,13 @@ def test_record_consistency_enforced():
         ('{"graph6": "Bw", "n": 3, "flags": [1]}', "'flags'"),  # was an AttributeError
         ('{"graph6": "Bw", "n": 3, "flags": {}, "grid": []}', "'grid'"),
         ('{"graph6": "Bw", "n": 3, "flags": {}, "interval": 1}', "'interval'"),
+        # inside a grid-embedded record: a KeyError, a TypeError, two Fraction
+        # errors and an accepted record before their types were checked
+        (embedded_line({"verdict": "unembeddable"}), "'delta'"),
+        (embedded_line({"verdict": "unembeddable", "delta": 1e-4}, witness=5), "'witness'"),
+        (embedded_line({"verdict": "unembeddable", "delta": "a"}), "'delta'"),
+        (embedded_line({"verdict": "unembeddable", "delta": math.inf}), "'delta'"),
+        (embedded_line(None, embedded_n="x"), "'embedded_n'"),
     ],
 )
 def test_record_from_json_names_missing_key(line, message):
@@ -299,6 +315,7 @@ def test_resume_rejects_malformed_spec(tmp_path, capsys, edit, message):
         (lambda d: d.update(n="4"), "'n'"),
         (lambda d: d.update(grid=5), "'grid'"),
         (lambda d: d.update(interval="x"), "'interval'"),
+        (lambda d: d["grid"].update(tried_up_to="x"), "'tried_up_to'"),
     ],
 )
 def test_malformed_record_line_is_a_usage_error(tmp_path, capsys, edit, message):
@@ -373,7 +390,7 @@ def test_verify_known_bundles_light(tmp_path):
 def test_prefix_bundle_reduced():
     from kssearch.verify import _verify_prefix_properties
 
-    rep = _verify_prefix_properties(n_max=6)
+    rep = _verify_prefix_properties(None, n_max=6)
     assert rep["passed"] and rep["details"]["prefixes_checked"] > 0
 
 
@@ -511,6 +528,19 @@ def test_cli_colour_and_exports():
     assert "# legend:" in r.stdout and r.returncode == 0
     r = cli("colour", input="not-a-graph6-\x01\n")
     assert r.returncode == 1
+
+
+def test_cli_closes_its_files(tmp_path):
+    from kssearch.cli import main
+
+    graphs, colours = tmp_path / "graphs.g6", tmp_path / "colours.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["enumerate", "--n", "4", "--out", str(graphs)]) == 0
+        assert main(["colour", "--in", str(graphs), "--out", str(colours)]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(colours.read_text().splitlines()) == 3
 
 
 def test_cli_embed_grid():
