@@ -5,8 +5,9 @@ Expected outcome: every connected square-free graph with n <= 16 is
 101-colourable, and exactly one graph on 17 vertices is not.  This script
 cannot show it at desk scale.  On one core of a 2-vCPU Intel Xeon VM
 (Python 3.11), ``enumerate_graphs(11)`` yields its 18,502 classes in about
-7 s, about 2,700 classes/s; before the canonicity test was pruned by
-automorphisms it took about 28 s, about 660 classes/s.  The classes grow
+3.1-3.4 s, about 5,400-6,000 classes/s (4.0-4.9 s before the child's
+canonicity search dropped its per-candidate set-up); before the canonicity
+test was pruned by automorphisms it took about 28 s, about 660 classes/s.  The classes grow
 about 6x per level and the cost per class grows with n, so even at the
 n = 11 rate the ~18 billion classes at n = 17 alone would take about 80
 CPU-days: the full n = 17 level is out of reach.  The full n = 13 level

@@ -131,23 +131,23 @@ def is_k_colourable(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
 
 def _backtrack_colour(g: Graph, k: int):
     n, rows = g.n, g.rows
-    deg = [r.bit_count() for r in rows]
     colours = [0] * n
     forb = [0] * n
     kmask = (1 << k) - 1
+    # DSATUR picks the greatest (forbidden colours, degree, -u); one integer
+    # key per vertex orders alike, as degree and n - u both lie in 0..n.  A
+    # coloured vertex's key is -1, so the pick is the index of the maximum.
+    w = n + 1
+    wsat = w * w
+    keys = [rows[u].bit_count() * w + n - u for u in range(n)]
 
-    def rec(ncoloured: int, max_used: int) -> bool:
-        if ncoloured == n:
+    def rec(uncoloured: int, max_used: int) -> bool:
+        if not uncoloured:
             return True
-        best = -1
-        bkey = None
-        for u in range(n):
-            if colours[u] == 0:
-                key = (forb[u].bit_count(), deg[u], -u)
-                if bkey is None or key > bkey:
-                    bkey = key
-                    best = u
-        v = best
+        v = keys.index(max(keys))
+        vkey = keys[v]
+        keys[v] = -1
+        left = uncoloured & ~(1 << v)
         avail = ~forb[v] & kmask
         # colours beyond max_used+1 are symmetric to it
         cap = min(k, max_used + 1)
@@ -158,24 +158,27 @@ def _backtrack_colour(g: Graph, k: int):
             colours[v] = c
             changed = []
             dead = False
-            m = rows[v]
+            m = rows[v] & left
             while m:
                 b = m & -m
                 m ^= b
                 u = b.bit_length() - 1
-                if colours[u] == 0 and not forb[u] & bit:
+                if not forb[u] & bit:
                     forb[u] |= bit
+                    keys[u] += wsat
                     changed.append(u)
                     if forb[u] == kmask:
                         dead = True
-            if not dead and rec(ncoloured + 1, max(max_used, c)):
+            if not dead and rec(left, max(max_used, c)):
                 return True
             for u in changed:
                 forb[u] &= ~bit
+                keys[u] -= wsat
             colours[v] = 0
+        keys[v] = vkey
         return False
 
-    if rec(0, 0):
+    if rec((1 << n) - 1, 0):
         return True, tuple(colours)
     return False, None
 

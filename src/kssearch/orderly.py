@@ -458,18 +458,34 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
             T |= 1 << p[b.bit_length() - 1]
         return T
 
-    def child_is_canonical(S: int, child_rows) -> bool:
-        child_spread = [spread[i] | ktop if S >> i & 1 else spread[i] for i in range(k)]
-        child_spread.append(sum(1 << i * n for i in range(k) if S >> i & 1))
-        newcol = 0
-        for i in range(k):
-            newcol = newcol << 1 | (S >> i & 1)
-        child_cols = cols + [newcol]
-        # k is placed in every call of rec, so rec never reads k's twin mask
-        # or k's slot in packed
-        rec = _searcher(n, n, child_cols, child_spread, twins, restrict, child_rows)
-        k_twins = sum(1 << u for u in range(k) if rows[u] == S & ~(1 << u))
-        sk = child_spread[k]
+    # k's twins for column S: each u outside S with rows[u] == S, looked up
+    # here, and each u in S with rows[u] == S - {u}, checked per candidate
+    by_row: dict[int, int] = {}
+    for u in range(k):
+        by_row[rows[u]] = by_row.get(rows[u], 0) | 1 << u
+    spread_k = spread + [0]
+    child_cols = cols + [0]
+
+    def child_is_canonical(S: int) -> bool:
+        child_spread = spread_k.copy()
+        sk = newcol = 0
+        k_twins = by_row.get(S, 0)
+        m = S
+        while m:
+            b = m & -m
+            m ^= b
+            i = b.bit_length() - 1
+            child_spread[i] |= ktop
+            sk |= 1 << i * n
+            newcol |= 1 << k - 1 - i
+            if rows[i] == S ^ b:
+                k_twins |= b
+        child_spread[k] = sk
+        child_cols[k] = newcol
+        # k is placed in every call of rec, so rec never reads k's row, twin
+        # mask or slot in packed: the prefix's rows and twin masks serve, and
+        # the k bit they lack would only enter frontiers that already hold k
+        rec = _searcher(n, n, child_cols, child_spread, twins, restrict, rows)
         k_at = [0] * n  # k's column value at the current node of each depth
         for d, v, used, frontier, packed in nodes:
             c = 0
@@ -500,9 +516,9 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
                 if U not in seen:
                     seen.add(U)
                     stack.append(U)
-        child_rows = tuple(rows[i] | kbit if S >> i & 1 else rows[i] for i in range(k)) + (S,)
-        if child_is_canonical(S, child_rows):
-            out.append(Graph._unchecked(n, child_rows))
+        if child_is_canonical(S):
+            child_rows = tuple(rows[i] | kbit if S >> i & 1 else rows[i] for i in range(k))
+            out.append(Graph._unchecked(n, child_rows + (S,)))
 
     def dfs(v: int, S: int, allowed: int) -> None:
         if v == k:
@@ -546,16 +562,23 @@ def enumerate_graphs(
     n_target: int,
     filters: Filters = Filters(),
     ticket: SubtreeTicket | None = None,
+    n_min: int | None = None,
 ) -> Iterator[Graph]:
     """Stream one canonical representative per isomorphism class at n_target.
 
-    Deterministic DFS order (descending candidate column code).  With a
-    ticket, only that subtree is walked; a ticket whose prefix the
-    enumeration never reaches (not canonical, or failing a filter) raises
-    ValueError rather than yielding nothing.
+    Deterministic DFS order (descending candidate column code).  With
+    ``n_min``, one preorder walk streams every class with n_min <= n <=
+    n_target, each before its extensions; the classes of one size come in
+    the order ``enumerate_graphs`` gives that size alone.  With a ticket,
+    only that subtree is walked; a ticket whose prefix the enumeration never
+    reaches (not canonical, or failing a filter) raises ValueError rather
+    than yielding nothing.
     """
     if not 1 <= n_target <= ENUM_MAX_VERTICES:
         raise ValueError(f"n_target outside 1..{ENUM_MAX_VERTICES}")
+    lo = n_target if n_min is None else n_min
+    if not 1 <= lo <= n_target:
+        raise ValueError("n_min outside 1..n_target")
     if ticket is None:
         start = Graph(1, (0,))
     else:
@@ -570,8 +593,9 @@ def enumerate_graphs(
             raise ValueError(f"ticket {ticket.ticket_id}: prefix is not canonical")
 
     def walk(g: Graph) -> Iterator[Graph]:
-        if g.n == n_target:
+        if g.n >= lo:
             yield g
+        if g.n == n_target:
             return
         for child in extend(g, filters):
             yield from walk(child)

@@ -1,11 +1,13 @@
 """Search orchestration: enumerate, filter, colour, embed, persist, report.
 
-A job's state on disk is ``spec.json`` plus ``shards/``.  The job walks
-target sizes n, splitting each enumeration into subtree tickets; each
-ticket's records land in its own shard, written in catalog format through
-:func:`catalog.write_synced`.  A ticket is done exactly when its shard
-exists, so a killed job resumes where it stopped.  Shards merge into the
-canonical catalog at the end, and the summary is built from the merged
+A job's state on disk is ``spec.json`` plus ``shards/``.  The job splits
+the enumeration into subtree tickets at the ticket depth: the root covers
+the sizes up to that depth, each ticket the sizes above it.  One walk of a
+ticket's subtree serves all its sizes, and the records of each size n land
+in their own shard ``<n>_<ticket>.jsonl``, written in catalog format through
+:func:`catalog.write_synced`.  A size of a ticket is done exactly when its
+shard exists, so a killed job resumes where it stopped.  Shards merge into
+the canonical catalog at the end, and the summary is built from the merged
 records.
 """
 
@@ -154,23 +156,28 @@ def evaluate_graph(
 
 
 def _process_ticket(args) -> None:
-    """Worker: enumerate one subtree, evaluate each class, write its shard."""
-    spec, n, ticket_id, shard_path = args
+    """Worker: walk one subtree once, evaluate the classes of each size in
+    ``shards``, and write each size's shard."""
+    spec, shards, ticket_id = args
     ticket = SubtreeTicket.from_id(ticket_id) if ticket_id else None
-    lines = [
-        evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta).to_json() + "\n"
-        for g in enumerate_graphs(n, spec.filters, ticket)
-    ]
-    write_synced(shard_path, lines)
+    lines: dict[int, list[str]] = {n: [] for n in shards}
+    for g in enumerate_graphs(max(shards), spec.filters, ticket, n_min=min(shards)):
+        if g.n in lines:
+            record = evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta)
+            lines[g.n].append(record.to_json() + "\n")
+    for n, shard in shards.items():
+        write_synced(shard, lines[n])
 
 
 def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     """Execute (or resume) a job; returns the summary dict.
 
-    ``max_tickets`` stops after that many tickets (used to exercise resume).
-    A ticket that raises is listed in ``tickets_failed`` as
-    ``n=…, ticket=…: <Type>: <message>``; the other tickets run, the summary
-    is written with ``complete`` false, and a resume runs it again.
+    One task walks one ticket's subtree for every size it covers whose shard
+    is missing.  ``max_tickets`` stops after that many tasks (used to
+    exercise resume).  A task that raises is listed in ``tickets_failed`` as
+    ``n=…, ticket=…: <Type>: <message>``, its sizes given as ``n=8`` or
+    lowest to highest as ``n=8..10``; the other tasks run, the summary is
+    written with ``complete`` false, and a resume runs it again.
     """
     spec.validate()
     shard_dir = os.path.join(spec.out_dir, "shards")
@@ -183,15 +190,23 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     else:
         write_synced(spec_path, [spec.to_json()])
 
-    # listed once per job: every n above the split depth shares the tickets
-    deep = list_tickets(spec.ticket_depth, spec.filters) if spec.n_max > spec.ticket_depth else []
+    # the root walks the sizes up to the split depth, each ticket those above
+    depth = spec.ticket_depth
+    walks = [(None, range(spec.n_min, min(spec.n_max, depth) + 1))]
+    if spec.n_max > depth:
+        above = range(max(spec.n_min, depth + 1), spec.n_max + 1)
+        walks += [(t, above) for t in list_tickets(depth, spec.filters)]
     tasks = []
-    for n in range(spec.n_min, spec.n_max + 1):
-        for t in deep if n > spec.ticket_depth else [None]:
-            ticket_id = t.ticket_id if t else ""
-            shard = os.path.join(shard_dir, f"{n}_{ticket_id.replace(':', '-') or 'root'}.jsonl")
-            if not os.path.exists(shard):  # shards land synced: one that exists is done
-                tasks.append((spec, n, ticket_id, shard))
+    for t, ns in walks:
+        ticket_id = t.ticket_id if t else ""
+        name = ticket_id.replace(":", "-") or "root"
+        shards = {}
+        for n in ns:
+            path = os.path.join(shard_dir, f"{n}_{name}.jsonl")
+            if not os.path.exists(path):  # shards land synced: one that exists is done
+                shards[n] = path
+        if shards:
+            tasks.append((spec, shards, ticket_id))
 
     if max_tickets is not None:
         tasks = tasks[:max_tickets]
@@ -200,13 +215,16 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     failed: list[str] = []
 
     def attempt(task, call) -> None:
-        # a ticket that raises leaves no shard, so a resume runs it again
+        # a walk that raises writes none of its shards, so a resume runs it again
         nonlocal processed
         try:
             call()
             processed += 1
         except Exception as e:  # a broken pool fails each ticket left
-            failed.append(f"n={task[1]}, ticket={task[2] or 'root'}: {type(e).__name__}: {e}")
+            _, shards, ticket_id = task
+            lo, hi = min(shards), max(shards)
+            ns = f"{lo}..{hi}" if hi > lo else f"{lo}"
+            failed.append(f"n={ns}, ticket={ticket_id or 'root'}: {type(e).__name__}: {e}")
 
     if spec.workers > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor

@@ -62,15 +62,14 @@ def test_criterion_02_colourability_frontier():
     uncolourable = []
     total = 0
     times_n12 = []
-    for n in range(1, 13):
-        for g in enumerate_graphs(n):
-            total += 1
-            t1 = time.perf_counter()
-            w = solve_101(g)
-            if n == 12:
-                times_n12.append(time.perf_counter() - t1)
-            if w is None:
-                uncolourable.append(encode_upper_triangle(g))
+    for g in enumerate_graphs(12, n_min=1):
+        total += 1
+        t1 = time.perf_counter()
+        w = solve_101(g)
+        if g.n == 12:
+            times_n12.append(time.perf_counter() - t1)
+        if w is None:
+            uncolourable.append(encode_upper_triangle(g))
     elapsed = time.perf_counter() - t0
     times_n12.sort()
     median_ms = times_n12[len(times_n12) // 2] * 1e3 if times_n12 else 0.0

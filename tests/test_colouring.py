@@ -96,7 +96,7 @@ def test_k_colouring_matches_brute_force():
     rng = random.Random(5)
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 7), 0.4)
-        for k in (2, 3):
+        for k in (2, 3, 4):
             proper = any(
                 all(c[u] != c[v] for u, v in g.edges())
                 for c in itertools.product(range(k), repeat=g.n)

@@ -416,6 +416,25 @@ def test_ticket_partition(depth):
     assert len(set(merged)) == len(merged)
 
 
+@pytest.mark.parametrize("filters, n_target", [(Filters(), 9), (Filters(False, False), 6)])
+def test_one_walk_yields_each_level_in_order(filters, n_target):
+    def levels(ticket, n_min):
+        walk = list(enumerate_graphs(n_target, filters, ticket, n_min=n_min))
+        assert [g.n for g in walk if g.n < n_min] == []
+        for m in range(n_min, n_target + 1):
+            alone = list(enumerate_graphs(m, filters, ticket))
+            assert [g for g in walk if g.n == m] == alone
+        return walk
+
+    assert len(levels(None, 1)) == sum(
+        len(list(enumerate_graphs(m, filters))) for m in range(1, n_target + 1)
+    )
+    for t in [None, *list_tickets(4, filters)]:
+        levels(t, 5)
+    with pytest.raises(ValueError, match="n_min"):
+        list(enumerate_graphs(5, filters, n_min=6))
+
+
 def test_ticket_outside_enumeration_rejected():
     path_021 = Graph.from_edges(3, [(0, 2), (1, 2)])  # P3, not canonical
     edge_12 = Graph.from_edges(3, [(1, 2)])  # disconnected

@@ -213,6 +213,25 @@ def test_resume_reruns_logged_ticket_without_shard(tmp_path):
     assert c1 == c2
 
 
+def test_resume_rewrites_only_the_missing_shards_of_a_ticket(tmp_path):
+    full = spec_for(tmp_path / "full", 8, ticket_depth=4)
+    run_search(full)
+    part = spec_for(tmp_path / "part", 8, ticket_depth=4)
+    run_search(part)
+    shard_dir = os.path.join(part.out_dir, "shards")
+    shard = {n: os.path.join(shard_dir, f"{n}_4-34.jsonl") for n in (5, 6, 7, 8)}
+    kept = {n: os.stat(shard[n]).st_mtime_ns for n in (5, 7)}
+    os.remove(shard[6])
+    os.remove(shard[8])
+    resumed = run_search(part)
+    assert resumed["tickets_processed"] == 1 and resumed["complete"]
+    assert os.path.exists(shard[6]) and os.path.exists(shard[8])
+    assert {n: os.stat(shard[n]).st_mtime_ns for n in (5, 7)} == kept
+    c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
+    c2 = open(os.path.join(part.out_dir, "catalog.jsonl"), "rb").read()
+    assert c1 == c2
+
+
 def test_resume_accepts_older_job_directory(tmp_path):
     # job directories from before shards were written in catalog format
     # hold a tickets.log and shard lines with a "timestamps" key
@@ -387,13 +406,6 @@ def test_verify_known_bundles_light(tmp_path):
         verify_known("no-such-bundle")
 
 
-def test_prefix_bundle_reduced():
-    from kssearch.verify import _verify_prefix_properties
-
-    rep = _verify_prefix_properties(None, n_max=6)
-    assert rep["passed"] and rep["details"]["prefixes_checked"] > 0
-
-
 def test_summary_reports_conjecture_probe(tmp_path):
     spec = spec_for(tmp_path / "j", 5)
     summary = run_search(spec)
@@ -434,7 +446,8 @@ def failing_on_calls(real, failures):
 def test_ticket_failure_isolated(tmp_path, monkeypatch):
     import kssearch.pipeline as pl
 
-    spec = spec_for(tmp_path / "j", 5, ticket_depth=3)
+    # the root and the 8 tickets at depth 5: 9 walks
+    spec = spec_for(tmp_path / "j", 7, ticket_depth=5)
     real = pl._process_ticket
     monkeypatch.setattr(pl, "_process_ticket", failing_on_calls(real, FAILURES))
     summary = pl.run_search(spec)
@@ -444,13 +457,13 @@ def test_ticket_failure_isolated(tmp_path, monkeypatch):
     ]
     assert all(f.startswith("n=") and ", ticket=" in f for f in failed)
     assert not summary["complete"]
-    assert summary["tickets_processed"] == 7 - len(FAILURES)
+    assert summary["tickets_processed"] == 9 - len(FAILURES)
     assert os.path.exists(os.path.join(spec.out_dir, "summary.json"))
     # the failed ticket is retried on resume and the catalog completes
     monkeypatch.setattr(pl, "_process_ticket", real)
     resumed = pl.run_search(spec)
     assert resumed["complete"]
-    clean = spec_for(tmp_path / "clean", 5, ticket_depth=3)
+    clean = spec_for(tmp_path / "clean", 7, ticket_depth=5)
     run_search(clean)
     c1 = open(os.path.join(spec.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(clean.out_dir, "catalog.jsonl"), "rb").read()
@@ -458,8 +471,8 @@ def test_ticket_failure_isolated(tmp_path, monkeypatch):
 
 
 def dying_on_n5(args):
-    """_process_ticket, except that the worker process dies on n = 5 tickets."""
-    if args[1] == 5:
+    """_process_ticket, except that the worker process dies on walks with n = 5."""
+    if 5 in args[1]:
         os._exit(1)
     return process_ticket(args)
 
@@ -471,11 +484,12 @@ def test_dead_worker_fails_its_tickets(tmp_path, monkeypatch):
     monkeypatch.setattr(pl, "_process_ticket", dying_on_n5)
     summary = pl.run_search(spec)
     failed = summary["tickets_failed"]
-    # the broken pool fails the dead tickets, and any others still pending
-    assert sum(f.startswith("n=5, ticket=") for f in failed) == 2
+    # the broken pool fails the dead tickets, and any others still pending;
+    # the root walks n = 1..3 and each of the 2 tickets at depth 3 n = 4..5
+    assert sum(f.startswith("n=4..5, ticket=") for f in failed) == 2
     assert all(": BrokenProcessPool: " in f for f in failed)
     assert not summary["complete"]
-    assert summary["tickets_processed"] + len(failed) == 7
+    assert summary["tickets_processed"] + len(failed) == 3
     monkeypatch.setattr(pl, "_process_ticket", process_ticket)
     assert pl.run_search(spec)["complete"]
     clean = spec_for(tmp_path / "clean", 5, ticket_depth=3)
@@ -686,12 +700,13 @@ def test_cli_pipeline_exit_code_on_failed_ticket(tmp_path, monkeypatch, capsys):
 
     out = str(tmp_path / "job")
     real = pl._process_ticket
-    failure = {2: OSError("disk went away")}
+    # n = 1..4 lies below the default ticket depth: one walk of the root
+    failure = {1: OSError("disk went away")}
     monkeypatch.setattr(pl, "_process_ticket", failing_on_calls(real, failure))
     assert main(["pipeline", "--n", "1..4", "--out", out]) == EXIT_VERIFICATION
     summary = json.loads(capsys.readouterr().err)
     assert summary["tickets_failed"] == [
-        "n=2, ticket=root: OSError: disk went away"
+        "n=1..4, ticket=root: OSError: disk went away"
     ]
     monkeypatch.setattr(pl, "_process_ticket", real)
     assert main(["pipeline", "--n", "1..4", "--out", out, "--resume"]) == EXIT_OK
