@@ -455,7 +455,8 @@ def test_ticket_failure_isolated(tmp_path, monkeypatch):
     assert [f.split(": ", 1)[1] for f in failed] == [
         f"{type(e).__name__}: {e}" for e in FAILURES.values()
     ]
-    assert all(f.startswith("n=") and ", ticket=" in f for f in failed)
+    # calls 2, 4 and 6 are walks of tickets, each covering n = 6..7
+    assert all(f.startswith("n=6..7, ticket=5:") for f in failed)
     assert not summary["complete"]
     assert summary["tickets_processed"] == 9 - len(FAILURES)
     assert os.path.exists(os.path.join(spec.out_dir, "summary.json"))
@@ -468,6 +469,10 @@ def test_ticket_failure_isolated(tmp_path, monkeypatch):
     c1 = open(os.path.join(spec.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(clean.out_dir, "catalog.jsonl"), "rb").read()
     assert c1 == c2
+    # a walk of one size names that size alone
+    monkeypatch.setattr(pl, "_process_ticket", failing_on_calls(real, {1: FAILURES[2]}))
+    one = pl.run_search(JobSpec(n_min=5, n_max=5, out_dir=str(tmp_path / "one")))
+    assert one["tickets_failed"] == ["n=5, ticket=root: OSError: disk went away"]
 
 
 def dying_on_n5(args):
