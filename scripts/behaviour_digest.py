@@ -28,9 +28,7 @@ and after:
 - ``grid_sha256``: the sha256 of the ``grid_embed`` mappings of every graph
   with n <= 7 at N = 1..5, then, for the same scan seeds, the greedy critical
   subsystem's grid indices and its ``grid_embed`` mappings at N = 2, 4, 6, 8,
-  one line each: this pins the embedding search and ``minimize_uncolourable``;
-- ``export_poly_sha256``: the sha256 of ``text()`` and ``legend_text()`` of
-  ``export_polynomial`` for every connected square-free graph with n <= 7.
+  one line each: this pins the embedding search and ``minimize_uncolourable``.
 
 Runs in about 15 s on one core (the placement search that the cell
 search in ``canonical_label`` replaced needed about 60 s more, mostly for
@@ -55,7 +53,6 @@ from kssearch.grids import get_grid, grid_embed, minimize_uncolourable
 from kssearch.intervals import WidthUnderflow, bisect
 from kssearch.orderly import canonical_code, enumerate_graphs
 from kssearch.pipeline import JobSpec, run_search
-from kssearch.polynomial import export_polynomial
 
 N10_INPUTS = (("I{d@?gI@w", 10**6), ("I{O_ogI@W", 1_000))
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -133,14 +130,6 @@ def _grid_lines(subs) -> list[str]:
     return lines
 
 
-def _poly_lines() -> list[str]:
-    lines = []
-    for g in (g for n in range(1, 8) for g in enumerate_graphs(n)):
-        poly = export_polynomial(g)
-        lines += [poly.text(), poly.legend_text()]
-    return lines
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         run_search(JobSpec(n_min=1, n_max=10, out_dir=tmp))
@@ -167,7 +156,6 @@ def main() -> int:
         "certificates_n_le_7_sha256": hashlib.sha256("\n".join(certificates).encode()).hexdigest(),
         "canonical_codes_n2_scans": hashlib.sha256("\n".join(n2_codes).encode()).hexdigest(),
         "grid_sha256": hashlib.sha256("\n".join(grid_lines).encode()).hexdigest(),
-        "export_poly_sha256": hashlib.sha256("\n".join(_poly_lines()).encode()).hexdigest(),
     }
     for g6, budget in N10_INPUTS:
         v = decide_embeddability(graph6_decode(g6), budget=budget)

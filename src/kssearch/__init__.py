@@ -62,7 +62,6 @@ from .embedding import (
     decide_embeddability,
     prove_root_in_box,
 )
-from .polynomial import EmbeddingPolynomial, export_polynomial
 from .pipeline import JobSpec, evaluate_graph, report_counts, run_search
 from .verify import verify_known
 

@@ -14,12 +14,7 @@ import contextlib
 import json
 import sys
 
-from .graphs import (
-    Graph6Error,
-    graph6_decode,
-    graph6_encode,
-    random_graphs,
-)
+from .graphs import Graph6Error, graph6_decode, graph6_encode
 from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import export_dimacs_101, solve_101, witness_to_json
 from .grids import get_grid, grid_embed
@@ -32,7 +27,6 @@ from .embedding import (
     decide_embeddability,
     verdict_to_json,
 )
-from .polynomial import export_polynomial
 from .pipeline import (
     DEFAULT_GRID_LADDER,
     DEFAULT_INTERVAL_BUDGET,
@@ -137,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("name", choices=KNOWN_BUNDLES)
     pv.add_argument("--out", default=None, help="directory for witness artifacts")
 
-    prg = sub.add_parser("random-graphs", help="seeded random graphs (graph6 lines)")
-    prg.add_argument("--n", type=int, required=True)
-    prg.add_argument("--count", type=int, default=100)
-    prg.add_argument("--seed", type=int, default=0)
-    prg.add_argument("--filters", default="")
-    prg.add_argument("--out", default="-")
-
     pr = sub.add_parser("report", help="per-n counts CSV with extrapolation column")
     pr.add_argument("--catalog", required=True)
     pr.add_argument("--out", default="-")
@@ -151,10 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     px = sub.add_parser("export-cnf", help="DIMACS CNF of the 101-colouring constraints")
     px.add_argument("--in", dest="input", default="-")
     px.add_argument("--out", default="-")
-
-    py = sub.add_parser("export-poly", help="embedding polynomial with variable legend")
-    py.add_argument("--in", dest="input", default="-")
-    py.add_argument("--out", default="-")
 
     return p
 
@@ -280,19 +263,6 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
         print(json.dumps(report, indent=1, default=str))
         return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
-    if cmd == "random-graphs":
-        filters = _parse_filters(args.filters) if args.filters else Filters(False, False)
-        out = _out_stream(args, stack)
-        for g in random_graphs(
-            args.n,
-            args.count,
-            args.seed,
-            require_square_free=filters.square_free,
-            require_connected=filters.connected,
-        ):
-            out.write(graph6_encode(g) + "\n")
-        return EXIT_OK
-
     if cmd == "report":
         records = read_records(args.catalog)
         out = _out_stream(args, stack)
@@ -304,17 +274,6 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
         for g in _input_graphs(args, stack):
             out.write(f"c graph {graph6_encode(g)}\n")
             out.write(export_dimacs_101(g))
-        return EXIT_OK
-
-    if cmd == "export-poly":
-        out = _out_stream(args, stack)
-        for g in _input_graphs(args, stack):
-            poly = export_polynomial(g)
-            out.write(f"# graph {graph6_encode(g)}\n")
-            out.write("# legend:\n")
-            for line in poly.legend_text().splitlines():
-                out.write(f"#   {line}\n")
-            out.write(poly.text() + "\n")
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {cmd}")

@@ -11,12 +11,10 @@ orthogonality graphs, so its own cap is looser.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 MAX_VERTICES = 4096
 ENUM_MAX_VERTICES = 64
-RANDOM_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 class Graph6Error(ValueError):
@@ -299,33 +297,3 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error("nonzero padding bits", body_start + nbytes - 1)
     return graph_from_code(n, code[:nbits])
 
-
-# ---------------------------------------------------------------------------
-# Seeded random graphs
-
-def random_graphs(
-    n: int,
-    count: int,
-    seed: int,
-    require_square_free: bool = False,
-    require_connected: bool = False,
-):
-    """Seeded random graphs, edges uniform at each of ``RANDOM_DENSITIES`` in turn.
-
-    The distribution is this artifact's own choice (it does not claim to
-    replicate any published campaign); filters resample until satisfied.
-    """
-    rng = random.Random(seed)
-    made = 0
-    while made < count:
-        p = RANDOM_DENSITIES[made % len(RANDOM_DENSITIES)]
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
-        g = Graph.from_edges(n, edges)
-        if require_square_free and not is_square_free(g):
-            continue
-        if require_connected and not is_connected(g):
-            continue
-        made += 1
-        yield g

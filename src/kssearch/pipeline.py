@@ -286,11 +286,10 @@ def report_counts(records) -> str:
     for rec in records:
         per_n[rec.n] = per_n.get(rec.n, 0) + 1
     ns = sorted(per_n)
-    fit_ns = [n for n in ns if per_n[n] > 0]
-    have_fit = len(fit_ns) >= 2
+    have_fit = len(ns) >= 2
     if have_fit:
-        xs = fit_ns
-        ys = [math.log10(per_n[n]) for n in fit_ns]
+        xs = ns
+        ys = [math.log10(per_n[n]) for n in ns]
         sx, sy = sum(xs), sum(ys)
         sxx = sum(x * x for x in xs)
         sxy = sum(x * y for x, y in zip(xs, ys))

@@ -15,7 +15,7 @@ from kssearch.catalog import CatalogRecord, read_records
 from kssearch.constraints import DEFAULT_DELTA, MIN_DELTA
 from kssearch.graphs import ENUM_MAX_VERTICES, Graph, graph6_encode
 from kssearch.grids import GridEmbedding, get_grid, minimize_uncolourable, validate_grid_embedding
-from kssearch.orderly import CanonicalBudgetExceeded
+from kssearch.orderly import CanonicalBudgetExceeded, brute_force_classes
 from kssearch.pipeline import (
     JobSpec,
     _process_ticket as process_ticket,
@@ -523,6 +523,17 @@ def test_cli_enumerate_and_usage():
     assert r.returncode == 1
     r = cli("enumerate", "--n", "4", "--filters", "nonsense")
     assert r.returncode == 1
+    for text, square_free, connected in (
+        ("", False, False),
+        ("connected", False, True),
+        ("square-free", True, False),
+    ):
+        r = cli("enumerate", "--n", "4", "--filters", text)
+        expected = len(brute_force_classes(4, square_free=square_free, connected=connected))
+        assert r.returncode == 0 and len(r.stdout.splitlines()) == expected
+    for removed in ("export-poly", "random-graphs"):
+        r = cli(removed)
+        assert r.returncode == 1 and "invalid choice" in r.stderr
 
 
 def test_cli_enumerate_rejects_unreachable_ticket():
@@ -543,8 +554,6 @@ def test_cli_colour_and_exports():
     assert data["colourable"] and r.returncode == 0
     r = cli("export-cnf", input=g6 + "\n")
     assert "p cnf 3 4" in r.stdout
-    r = cli("export-poly", input=g6 + "\n")
-    assert "# legend:" in r.stdout and r.returncode == 0
     r = cli("colour", input="not-a-graph6-\x01\n")
     assert r.returncode == 1
 
@@ -664,20 +673,6 @@ def test_cli_verify_known_failure_exit_code(monkeypatch):
     assert r.returncode == 0
     r = cli("verify-known", "bogus")
     assert r.returncode == 1  # usage: unknown choice
-
-
-def test_cli_random_graphs_seeded():
-    r1 = cli("random-graphs", "--n", "8", "--count", "20", "--seed", "5")
-    r2 = cli("random-graphs", "--n", "8", "--count", "20", "--seed", "5")
-    assert r1.returncode == 0 and r1.stdout == r2.stdout
-    assert len(r1.stdout.splitlines()) == 20
-    r3 = cli("random-graphs", "--n", "8", "--count", "5", "--seed", "5",
-             "--filters", "square-free,connected")
-    from kssearch.graphs import graph6_decode, is_square_free, is_connected
-
-    for line in r3.stdout.splitlines():
-        g = graph6_decode(line)
-        assert is_square_free(g) and is_connected(g)
 
 
 def test_cli_pipeline_and_report(tmp_path):
