@@ -15,7 +15,8 @@ from kssearch.catalog import CatalogRecord, read_records
 from kssearch.constraints import DEFAULT_DELTA, MIN_DELTA
 from kssearch.graphs import ENUM_MAX_VERTICES, Graph, graph6_encode
 from kssearch.grids import GridEmbedding, get_grid, minimize_uncolourable, validate_grid_embedding
-from kssearch.orderly import CanonicalBudgetExceeded, brute_force_classes
+from kssearch.cli import _parse_filters
+from kssearch.orderly import CanonicalBudgetExceeded, Filters, brute_force_classes, list_tickets
 from kssearch.pipeline import (
     JobSpec,
     _process_ticket as process_ticket,
@@ -534,6 +535,42 @@ def test_cli_enumerate_and_usage():
     for removed in ("export-poly", "random-graphs"):
         r = cli(removed)
         assert r.returncode == 1 and "invalid choice" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", Filters(False, False)),
+        ("connected", Filters(square_free=False, connected=True)),
+        ("square-free", Filters(square_free=True, connected=False)),
+        ("square-free,connected", Filters(True, True)),
+        (" connected , square-free ", Filters(True, True)),
+        (",connected,,connected,", Filters(square_free=False, connected=True)),
+    ],
+)
+def test_parse_filters(text, expected):
+    assert _parse_filters(text) == expected
+
+
+@pytest.mark.parametrize("text", ["nonsense", "connected,triangle-free"])
+def test_parse_filters_rejects_unknown_names(text):
+    with pytest.raises(ValueError, match="known: \\['connected', 'square-free'\\]"):
+        _parse_filters(text)
+
+
+def test_cli_enumerate_tickets_partition_the_enumeration(capsys):
+    from kssearch.cli import main
+
+    assert main(["enumerate", "--n", "6", "--tickets-depth", "4"]) == 0
+    tickets = capsys.readouterr().out.split()
+    assert tickets == [t.ticket_id for t in list_tickets(4, Filters())]
+    assert main(["enumerate", "--n", "6"]) == 0
+    whole = capsys.readouterr().out.splitlines()
+    parts = []
+    for ticket in tickets:
+        assert main(["enumerate", "--n", "6", "--ticket", ticket]) == 0
+        parts += capsys.readouterr().out.splitlines()
+    assert whole and sorted(parts) == sorted(whole)
 
 
 def test_cli_enumerate_rejects_unreachable_ticket():
