@@ -123,10 +123,39 @@ def _solve_core(g: Graph) -> tuple[int, ...] | None:
 # Proper k-colouring (k = 2..4)
 
 def is_k_colourable(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Exact decision with a witness (colours 1..k) when colourable."""
+    """Exact decision with a witness (colours 1..k) when colourable.
+
+    Greedy in peel order when g is (k-1)-degenerate, else one backtracking
+    search.  Vertices of degree < k in what is left are peeled off until
+    none remains; if that empties the graph, colouring them in reverse peel
+    order gives each vertex at most k-1 coloured neighbours, so a free
+    colour in 1..k.
+    """
     if not 2 <= k <= 4:
         raise ValueError("k must be in 2..4")
-    return _backtrack_colour(g, k)
+    rows = g.rows
+    left = (1 << g.n) - 1
+    order = []
+    peeled = True
+    while left and peeled:
+        peeled = False
+        for v in _bits(left):
+            if (rows[v] & left).bit_count() < k:
+                left ^= 1 << v
+                order.append(v)
+                peeled = True
+    if left:
+        return _backtrack_colour(g, k)
+    colours = [0] * g.n
+    for v in reversed(order):
+        taken = 0
+        for u in _bits(rows[v]):
+            taken |= 1 << colours[u]
+        c = 1
+        while taken >> c & 1:
+            c += 1
+        colours[v] = c
+    return True, tuple(colours)
 
 
 def _backtrack_colour(g: Graph, k: int):

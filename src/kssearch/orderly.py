@@ -394,14 +394,19 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
 
     Canonicity of the child: while the new vertex k is unplaced, the child's
     search walks the prefix's tree, whose nodes need no new scan, because
-    the prefix vertices' column values are those of the prefix.  At each node
-    only k is checked, and the child's own search runs below the node where
-    k ties.  The prefix's twin masks serve the child unchanged, though S may
-    hold a twin u and not its higher twin w: S is the greatest of its orbit,
-    so it holds the lower members of each twin class.  Before k is placed, a
-    placement that puts w before u gains by swapping them, since k's column
-    bits move up; once k is placed, u's column value exceeds w's, so a tie
-    of w is a beat by u.
+    the prefix vertices' column values are those of the prefix.  It does so
+    in two passes.  The first computes only k's column value at each node:
+    a node where it beats the identity's rejects S, and the nodes where it
+    ties are kept.  Only when no node rejects does the second pass run the
+    child's own search below each kept node, in preorder.  The verdict is
+    the walk's, an AND over the nodes, as the search has no side effects;
+    but the root, where k always ties, no longer costs a full search for
+    every S that a later node rejects.  The prefix's twin masks serve the
+    child unchanged, though S may hold a twin u and not its higher twin w:
+    S is the greatest of its orbit, so it holds the lower members of each
+    twin class.  Before k is placed, a placement that puts w before u gains
+    by swapping them, since k's column bits move up; once k is placed, u's
+    column value exceeds w's, so a tie of w is a beat by u.
     """
     k = prefix.n
     rows = prefix.rows
@@ -467,7 +472,6 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
     child_cols = cols + [0]
 
     def child_is_canonical(S: int) -> bool:
-        child_spread = spread_k.copy()
         sk = newcol = 0
         k_twins = by_row.get(S, 0)
         m = S
@@ -475,34 +479,44 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
-            child_spread[i] |= ktop
             sk |= 1 << i * n
             newcol |= 1 << k - 1 - i
             if rows[i] == S ^ b:
                 k_twins |= b
-        child_spread[k] = sk
         child_cols[k] = newcol
-        # k is placed in every call of rec, so rec never reads k's row, twin
-        # mask or slot in packed: the prefix's rows and twin masks serve, and
-        # the k bit they lack would only enter frontiers that already hold k
-        rec = _searcher(n, n, child_cols, child_spread, twins, restrict, rows)
+        # pass 1: k's column value at every node, with no search.  k ties
+        # only where it is a candidate: under the connected filter the
+        # prefix's columns after the first are nonzero, so a tying k has a
+        # placed neighbour.  An unplaced twin of k, whose subtree the tree
+        # holds, stands for it.
         k_at = [0] * n  # k's column value at the current node of each depth
-        for d, v, used, frontier, packed in nodes:
+        ties = []
+        for node in nodes:
+            d, v, used, _, _ = node
             c = 0
             if d:
                 c = k_at[d] = k_at[d - 1] << 1 | S >> v & 1
             target = child_cols[d]
             if c > target:
                 return False
-            # k ties only where it is a candidate: under the connected
-            # filter the prefix's columns after the first are nonzero, so a
-            # tying k has a placed neighbour.  An unplaced twin of k, whose
-            # subtree the tree holds, stands for it.
-            if c == target and not k_twins & ~used and not rec(
-                d + 1, used | kbit, frontier | S, packed << 1 | sk
-            ):
-                return False
-        return True
+            if c == target and not k_twins & ~used:
+                ties.append(node)
+        # pass 2: the child's search below each tie, in preorder.  k is
+        # placed in every call of rec, so rec never reads k's row, twin mask
+        # or slot in packed: the prefix's rows and twin masks serve, and the
+        # k bit they lack would only enter frontiers that already hold k
+        child_spread = spread_k.copy()
+        child_spread[k] = sk
+        m = S
+        while m:
+            b = m & -m
+            m ^= b
+            child_spread[b.bit_length() - 1] |= ktop
+        rec = _searcher(n, n, child_cols, child_spread, twins, restrict, rows)
+        return all(
+            rec(d + 1, used | kbit, frontier | S, packed << 1 | sk)
+            for d, _, used, frontier, packed in ties
+        )
 
     def emit(S: int) -> None:
         if S == 0 and restrict or S in seen:

@@ -1,10 +1,12 @@
 """101-colourability solver, k-colouring, DIMACS export."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
+from kssearch import colouring
 from kssearch.graphs import Graph
 from kssearch.colouring import (
     colouring_from_3colouring,
@@ -19,6 +21,7 @@ from kssearch.orderly import enumerate_graphs
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+K5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 
 
 def random_graph(rng, n, p):
@@ -92,16 +95,48 @@ def test_k_colouring_witness_is_proper():
                 assert all(w[u] != w[v] for u, v in g.edges())
 
 
-def test_k_colouring_matches_brute_force():
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+W5 = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+
+
+def test_k_colouring_matches_brute_force(monkeypatch):
+    """Both the greedy peel-order path and the backtracking fallback agree
+    with exhaustive search.  The denser random graphs, K4, K5, the Petersen
+    graph (3-regular) and the wheel W5 give the fallback inputs that are not
+    (k-1)-degenerate, for k = 3 and for k = 4."""
+    fallbacks = collections.Counter()
+    backtrack = colouring._backtrack_colour
+
+    def spy(g, k):
+        fallbacks[k] += 1
+        return backtrack(g, k)
+
+    monkeypatch.setattr(colouring, "_backtrack_colour", spy)
     rng = random.Random(5)
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(1, 7), 0.4)
+    graphs = [random_graph(rng, rng.randint(1, 7), 0.4) for _ in range(150)]
+    graphs += [random_graph(rng, rng.randint(4, 7), 0.75) for _ in range(60)]
+    graphs += [K4, K5, PETERSEN, W5]
+    calls = collections.Counter()
+    for g in graphs:
         for k in (2, 3, 4):
+            calls[k] += 1
+            # colour classes are interchangeable: vertex 0 takes colour 0
             proper = any(
                 all(c[u] != c[v] for u, v in g.edges())
-                for c in itertools.product(range(k), repeat=g.n)
+                for c in itertools.product(range(1), *[range(k)] * (g.n - 1))
             )
-            assert is_k_colourable(g, k)[0] == proper
+            ok, w = is_k_colourable(g, k)
+            assert ok == proper
+            if ok:
+                assert all(1 <= c <= k for c in w)
+                assert all(w[u] != w[v] for u, v in g.edges())
+    for k in (3, 4):
+        assert 0 < fallbacks[k] < calls[k]
 
 
 def test_k_colourability_rejects_bad_k():

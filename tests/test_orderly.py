@@ -1,6 +1,7 @@
 """Canonicity, canonical labelling, orderly enumeration, tickets and the
 brute-force oracle."""
 
+import collections
 import functools
 import itertools
 import random
@@ -160,6 +161,24 @@ def test_extend_matches_brute_force_children(square_free, connected):
             expected = sorted(children.pop(p, []), reverse=True)
             assert [encode_upper_triangle(c) for c in extend(p, filters)] == expected, p
         assert not children
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_extend_matches_is_canonical_on_every_column(k):
+    """extend(P) lists, in descending code order, exactly the square-free
+    children of P that is_canonical accepts, for every canonical prefix P
+    on k vertices; the brute-force oracle stops short of these sizes."""
+    for p in enumerate_graphs(k):
+        expected = []
+        # column S's code value puts vertex 0's bit first
+        for code in range((1 << k) - 1, 0, -1):
+            S = [i for i in range(k) if code >> (k - 1 - i) & 1]
+            if any(p.rows[i] & p.rows[j] for i, j in itertools.combinations(S, 2)):
+                continue
+            child = Graph.from_edges(k + 1, list(p.edges()) + [(i, k) for i in S])
+            if is_canonical(child):
+                expected.append(encode_upper_triangle(child))
+        assert [encode_upper_triangle(c) for c in extend(p)] == expected, p
 
 
 def test_canonicity_examples():
@@ -360,6 +379,8 @@ def test_extend_never_closes_squares():
 
 
 def test_enumerate_small_counts():
+    counts = collections.Counter(g.n for g in enumerate_graphs(10, n_min=1))
+    assert [counts[n] for n in range(1, 11)] == [1, 1, 2, 3, 8, 19, 57, 186, 740, 3389]
     assert sum(1 for _ in enumerate_graphs(3)) == 2
     assert sum(1 for _ in enumerate_graphs(4)) == 3
     codes = {encode_upper_triangle(g) for g in enumerate_graphs(4)}
