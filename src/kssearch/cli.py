@@ -22,8 +22,6 @@ from .constraints import DEFAULT_DELTA
 from .embedding import (
     DEFAULT_BUDGET,
     Inconclusive,
-    checkpoint_from_json,
-    checkpoint_to_json,
     decide_embeddability,
     verdict_to_json,
 )
@@ -106,11 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--in", dest="input", default="-")
     pi.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pi.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    pi.add_argument("--resume", default=None,
-                    help="checkpoint file to resume from: each input needs a line "
-                         "of its graph made at the same --delta")
-    pi.add_argument("--checkpoint-out", default=None,
-                    help="write one checkpoint line per inconclusive input")
     pi.add_argument("--out", default="-")
 
     pp = sub.add_parser("pipeline", help="full enumerate/filter/colour/embed job")
@@ -192,40 +185,14 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
 
     if cmd == "embed-interval":
         out = _out_stream(args, stack)
-        resume: dict[str, tuple] = {}
-        if args.resume:
-            with open(args.resume) as fh:
-                for line in fh:
-                    if line.strip():
-                        g6, delta, boxes = checkpoint_from_json(line)
-                        resume[g6] = (delta, boxes)
         exit_code = EXIT_OK
-        ckpt = None
         for g in _input_graphs(args, stack):
-            g6 = graph6_encode(g)
-            resume_boxes = None
-            if args.resume:
-                if g6 not in resume:
-                    raise ValueError(f"checkpoint {args.resume} has no line for graph {g6}")
-                resume_delta, resume_boxes = resume[g6]
-                if resume_delta != args.delta:
-                    raise ValueError(
-                        f"checkpoint of {g6} was made at delta {resume_delta}, "
-                        f"not --delta {args.delta}"
-                    )
-            verdict = decide_embeddability(
-                g, budget=args.budget, delta=args.delta, resume_boxes=resume_boxes
-            )
+            verdict = decide_embeddability(g, budget=args.budget, delta=args.delta)
             rec = json.loads(verdict_to_json(verdict, delta=args.delta, budget=args.budget))
-            rec["graph6"] = g6
+            rec["graph6"] = graph6_encode(g)
             out.write(json.dumps(rec) + "\n")
             if isinstance(verdict, Inconclusive):
                 exit_code = EXIT_BUDGET
-                if args.checkpoint_out:
-                    if ckpt is None:
-                        ckpt = stack.enter_context(open(args.checkpoint_out, "w"))
-                    ckpt.write(checkpoint_to_json(g, args.delta, verdict) + "\n")
-                    ckpt.flush()
         return exit_code
 
     if cmd == "pipeline":

@@ -31,7 +31,6 @@ from .constraints import (
 )
 from .intervals import IntervalBox, WidthUnderflow, bisect, midpoint, mul, sqr, _dn, _up
 
-CHECKPOINT_VERSION = 1
 DEFAULT_BUDGET = 100_000
 # a box narrower than this in every variable gets a Newton attempt
 NEWTON_MAX_WIDTH = 0.6
@@ -388,7 +387,6 @@ def decide_embeddability(
     delta: float = DEFAULT_DELTA,
     *,
     verify_refutations: bool = False,
-    resume_boxes=None,
 ) -> Verdict:
     """Branch-and-prune verdict on embeddability as a vector system.
 
@@ -396,17 +394,13 @@ def decide_embeddability(
     separations >= delta exists (the delta caveat is part of the verdict).
     ProvedEmbeddable: Krawczyk certificate plus strict distinctness over its
     refined box.  Budget exhaustion yields Inconclusive with residual
-    boxes, serializable for resume.  Budget is counted in contraction steps
-    (sweeps), so verdicts are machine-independent.
-
-    ``resume_boxes`` replace the initial box; each must have ``cs.num_vars``
-    intervals inside the initial box (ValueError otherwise).  The verdict
-    covers only the boxes given, so a resume is only as sound as its boxes.
+    boxes.  Budget is counted in contraction steps (sweeps), so verdicts are
+    machine-independent, and a run at a larger budget repeats a smaller
+    run's sweeps before going on.
 
     The frontier is an in-memory stack searched depth first: a bisection
-    pushes the right half, then the left, so the left half is popped next,
-    and ``resume_boxes`` are popped in the order given.  It grows by at most
-    one box per contraction step, so a run from the initial box never holds
+    pushes the right half, then the left, so the left half is popped next.
+    It grows by at most one box per contraction step, so it never holds
     more than budget + 1 boxes; an Inconclusive verdict lists the
     unsplittable boxes first, then the stack in pop order.  A box narrow
     enough for Newton gets a Gauss-Newton polish, and the Krawczyk test
@@ -425,18 +419,13 @@ def decide_embeddability(
         return ProvedEmbeddable(None, stats)
 
     init = cs.initial_box()
-    for k, b in enumerate(resume_boxes or ()):
-        inside = zip(init.lo, b.lo, b.hi, init.hi)
-        if len(b) != cs.num_vars or not all(il <= a <= c <= ih for il, a, c, ih in inside):
-            raise ValueError(f"resume box {k} is not {cs.num_vars} intervals in the initial box")
-
     if cs.num_vars == 0:
         # pinned triple satisfies everything exactly
         return ProvedEmbeddable(prove_root_in_box(init, cs), stats)
 
     eqs = _equations(cs)
     # a stack: the last box pushed is the next one popped
-    frontier = list(reversed(resume_boxes)) if resume_boxes else [init]
+    frontier = [init]
     residuals: list[IntervalBox] = []
 
     while stats.contraction_steps < budget and frontier:
@@ -494,38 +483,3 @@ def decide_embeddability(
     )
     return Inconclusive(leftovers, stats, reason)
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-def checkpoint_to_json(g: Graph, delta: float, verdict: Inconclusive) -> str:
-    from .graphs import graph6_encode
-
-    return json.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "graph6": graph6_encode(g),
-            "delta": delta,
-            "stats": verdict.stats.to_dict(),
-            "boxes": [b.to_lists() for b in verdict.residual_boxes],
-        }
-    )
-
-
-def checkpoint_from_json(text: str):
-    """(graph6, delta, boxes) of one checkpoint line; ValueError naming the
-    field unless the line is a JSON object with version, a string graph6, a
-    number delta and a list of boxes."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("checkpoint line is not a JSON object")
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-    g6, delta, boxes = data.get("graph6"), data.get("delta"), data.get("boxes")
-    if not isinstance(g6, str):
-        raise ValueError(f"checkpoint graph6 {g6!r} is not a string")
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-        raise ValueError(f"checkpoint delta {delta!r} is not a number")
-    if not isinstance(boxes, list) or not all(isinstance(b, list) for b in boxes):
-        raise ValueError("checkpoint boxes are not a list of boxes")
-    return g6, delta, [IntervalBox.from_lists(b) for b in boxes]

@@ -186,23 +186,6 @@ class IntervalBox:
     def contains_point(self, pt) -> bool:
         return all(a <= v <= b for a, b, v in zip(self.lo, self.hi, pt))
 
-    def to_lists(self) -> list[list[float]]:
-        return [[a, b] for a, b in zip(self.lo, self.hi)]
-
-    @staticmethod
-    def from_lists(data) -> "IntervalBox":
-        """The box of ``[[lo, hi], ...]``; ValueError unless each pair is two
-        numbers.  Ordering and containment are the solver's checks."""
-        lo, hi = [], []
-        for pair in data:
-            try:
-                a, b = map(float, pair)
-            except (TypeError, ValueError):
-                raise ValueError(f"box interval {pair!r} is not two numbers") from None
-            lo.append(a)
-            hi.append(b)
-        return IntervalBox(tuple(lo), tuple(hi))
-
 
 def bisect(box: IntervalBox) -> tuple[IntervalBox, IntervalBox]:
     """Split the widest dimension at its midpoint (ties: lowest index).

@@ -18,15 +18,13 @@ from kssearch.constraints import (
     recheck_refutation_exact,
 )
 from kssearch import embedding
-from kssearch.intervals import IntervalBox, WidthUnderflow, bisect
+from kssearch.intervals import IntervalBox
 from kssearch.orderly import enumerate_graphs
 from kssearch.embedding import (
     Inconclusive,
     ProvedEmbeddable,
     ProvedUnembeddable,
     _equations,
-    checkpoint_from_json,
-    checkpoint_to_json,
     check_distinctness,
     decide_embeddability,
     prove_root_in_box,
@@ -260,45 +258,40 @@ def test_planted_point_never_in_refuted_box(monkeypatch):
     assert counts["refuted"] > 0 and counts["held"] > 0, counts
 
 
-def test_budget_exhaustion_and_resume():
+def test_budget_exhaustion():
     v = decide_embeddability(C4, budget=1)
     assert isinstance(v, Inconclusive)
     assert v.residual_boxes
-    text = checkpoint_to_json(C4, 1e-4, v)
-    g6, delta, boxes = checkpoint_from_json(text)
-    assert delta == 1e-4
-    v2 = decide_embeddability(C4, budget=10**6, resume_boxes=boxes)
+    v2 = decide_embeddability(C4, budget=10**6)
     assert isinstance(v2, ProvedUnembeddable)
     for budget in (0, -5):
         with pytest.raises(ValueError):
             decide_embeddability(C4, budget=budget)
 
 
-def test_resume_boxes_must_lie_in_the_initial_box():
-    # P4 is embeddable: a box outside the cover would be refuted, and the
-    # verdict would wrongly read unembeddable
-    init = build_constraint_system(P4).initial_box()
-    # built the way a checkpoint's boxes are read
-    bad = [
-        IntervalBox.from_lists(init.to_lists()[:3]),
-        IntervalBox.from_lists([[5, 6]] * 6),
-        IntervalBox.from_lists([[math.nan, math.nan]] * 6),
-        IntervalBox.from_lists([[0.0, math.nan]] + init.to_lists()[1:]),
-        IntervalBox.from_lists([[0.5, 0.25]] + init.to_lists()[1:]),
-    ]
-    for box in bad:
-        with pytest.raises(ValueError, match="resume box 1 "):
-            decide_embeddability(P4, budget=10, resume_boxes=[init, box])
-    v = decide_embeddability(P4, budget=10**4, resume_boxes=list(bisect(init)))
-    assert isinstance(v, ProvedEmbeddable)
+@pytest.mark.parametrize(
+    "graph,budget",
+    [(C4, 1), (graph6_decode("I{d@?gI@w"), 100), (graph6_decode("I{O_ogI@W"), 500)],
+    ids=["C4", "I{d@?gI@w", "I{O_ogI@W"],
+)
+def test_larger_budget_replays_smaller_run(monkeypatch, graph, budget):
+    # the budget only stops the search, so a run at twice the budget sweeps
+    # the same boxes in the same order first: rerunning with a larger
+    # budget is how an inconclusive verdict is continued
+    sweep = embedding.contract_explain
+    seen = []
 
+    def spy(box, cs):
+        seen.append([x.hex() for x in box.lo + box.hi])
+        return sweep(box, cs)
 
-def _splittable(box):
-    try:
-        bisect(box)
-    except WidthUnderflow:
-        return False
-    return True
+    monkeypatch.setattr(embedding, "contract_explain", spy)
+    short = decide_embeddability(graph, budget=budget)
+    assert isinstance(short, Inconclusive) and short.reason == "budget exhausted"
+    assert len(seen) == budget
+    boxes, seen[:] = seen[:], []
+    decide_embeddability(graph, budget=2 * budget)
+    assert len(seen) > budget and seen[:budget] == boxes
 
 
 def test_frontier_is_depth_first():
@@ -313,39 +306,6 @@ def test_frontier_is_depth_first():
     # a bisection leaves its left half on top of the stack
     left, right = decide_embeddability(g, budget=1).residual_boxes
     assert max(b - a for a, b in zip(left.lo, right.lo)) > 0
-    boxes = list(v.residual_boxes)
-    while boxes and not _splittable(boxes[0]):
-        boxes.pop(0)  # unsplittable boxes come first, in the order they were met
-    assert len(boxes) > 1
-    # one sweep on the first box given, whose halves (if it survives) are
-    # then on top of the stack, above the other boxes in the order given
-    again = decide_embeddability(g, budget=1, resume_boxes=boxes)
-    assert again.stats.contraction_steps == again.stats.boxes_processed == 1
-    rest = len(again.residual_boxes) - (len(boxes) - 1)
-    assert rest in (0, 2) and again.stats.bisections == rest // 2
-    assert list(again.residual_boxes[rest:]) == boxes[1:]
-    for half in again.residual_boxes[:rest]:
-        inside = zip(boxes[0].lo, half.lo, half.hi, boxes[0].hi)
-        assert all(a <= b <= c <= d for a, b, c, d in inside)
-
-
-@pytest.mark.parametrize("graph,kind", [(P4, ProvedEmbeddable), (C4, ProvedUnembeddable)])
-def test_checkpoint_round_trip_resumes_depth_first(graph, kind):
-    stopped = 0
-    for budget in range(1, 31):
-        v = decide_embeddability(graph, budget=budget)
-        if not isinstance(v, Inconclusive):
-            assert isinstance(v, kind)
-            continue
-        stopped += 1
-        _g6, delta, boxes = checkpoint_from_json(checkpoint_to_json(graph, 1e-4, v))
-        assert boxes == list(v.residual_boxes)
-        # a checkpoint written by the heap-ordered frontier lists its boxes
-        # in another order; any order of boxes covering the rest resumes
-        for order in (boxes, boxes[::-1]):
-            resumed = decide_embeddability(graph, budget=10**6, delta=delta, resume_boxes=order)
-            assert isinstance(resumed, kind), (budget, order is boxes)
-    assert stopped
 
 
 def test_distinctness_gate_keeps_every_verdict(monkeypatch):
@@ -374,11 +334,6 @@ def test_distinctness_gate_keeps_every_verdict(monkeypatch):
     ungated, ungated_tests = run()
     assert ungated == gated
     assert gated_tests < ungated_tests
-
-
-def test_checkpoint_version_guard():
-    with pytest.raises(ValueError):
-        checkpoint_from_json(json.dumps({"version": 99, "boxes": []}))
 
 
 def test_verdict_json():
