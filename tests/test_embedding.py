@@ -270,6 +270,31 @@ def test_budget_exhaustion():
 
 
 @pytest.mark.parametrize(
+    "graph,kind", [(P4, ProvedEmbeddable), (C4, ProvedUnembeddable)], ids=["P4", "C4"]
+)
+def test_every_budget_stops_inside_the_initial_box(graph, kind):
+    # a stopped run leaves boxes of the cover it was given, and once one
+    # budget reaches the verdict every larger budget reaches it too
+    init = build_constraint_system(graph).initial_box()
+    stopped = reached = 0
+    for budget in range(1, 31):
+        v = decide_embeddability(graph, budget=budget)
+        if not isinstance(v, Inconclusive):
+            assert isinstance(v, kind)
+            reached += 1
+            continue
+        assert not reached, budget
+        stopped += 1
+        assert v.reason == "budget exhausted" and v.stats.contraction_steps == budget
+        for box in v.residual_boxes:
+            assert len(box.lo) == len(box.hi) == len(init.lo)
+            inside = zip(init.lo, box.lo, box.hi, init.hi)
+            assert all(a <= lo <= hi <= b for a, lo, hi, b in inside)
+    assert stopped
+    assert isinstance(decide_embeddability(graph, budget=10**6), kind)
+
+
+@pytest.mark.parametrize(
     "graph,budget",
     [(C4, 1), (graph6_decode("I{d@?gI@w"), 100), (graph6_decode("I{O_ogI@W"), 500)],
     ids=["C4", "I{d@?gI@w", "I{O_ogI@W"],

@@ -635,6 +635,75 @@ def test_cli_embed_interval_exit_codes(tmp_path):
         assert not path.exists()
 
 
+def test_cli_embed_interval_reports_every_input_in_order():
+    c4, g10 = "Cl", "I{O_ogI@W"
+    r = cli("embed-interval", "--budget", "50", input=f"{c4}\n{g10}\n")
+    assert r.returncode == 3, r.stderr  # one input left inconclusive
+    records = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [(v["graph6"], v["verdict"]) for v in records] == [
+        (c4, "unembeddable"),
+        (g10, "inconclusive"),
+    ]
+    assert all(v["budget"] == 50 for v in records)
+    assert records[1]["reason"] == "budget exhausted" and records[1]["residual_boxes"] > 0
+
+
+@pytest.mark.parametrize("command", [
+    ["colour"], ["embed-grid", "--grid-n", "1"], ["embed-interval"], ["export-cnf"],
+])
+def test_cli_graph6_error_names_its_line(tmp_path, capsys, command):
+    from kssearch.cli import main
+
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text("Bw\n\nB!\n")  # the bad line comes after a blank one
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--in", str(graphs)])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("line 3: invalid graph6 character '!'") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("D\x14", "invalid graph6 character"),
+        ("~?", "truncated graph6 vertex count"),
+        ("?", "vertex count 0 outside"),
+        ("C", "truncated graph6 body"),
+        ("Clx", "trailing bytes"),
+        ("A@", "nonzero padding bits"),
+    ],
+)
+def test_cli_embed_interval_rejects_malformed_graph6(line, message):
+    r = cli("embed-interval", input=line + "\n")
+    assert r.returncode == 1 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith(f"line 1: {message}"), r.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--n", "x"], "invalid literal"),
+        (["--n", "1..2..3"], "too many values"),
+        (["--n", "5..3"], "n range"),
+        (["--grid-n", "0"], "grid ladder"),
+        (["--workers", "0"], "workers"),
+        (["--budget", "0"], "interval budget"),
+        (["--delta", "2"], "delta"),
+        (["--tickets-depth", "0"], "ticket depth"),
+    ],
+)
+def test_cli_pipeline_rejects_bad_arguments(tmp_path, capsys, args, message):
+    from kssearch.cli import main
+
+    out = tmp_path / "job"
+    argv = ["pipeline", "--n", "3", "--out", str(out), *args]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert not out.exists()  # refused before any job file is written
+
+
 def test_cli_verify_known_failure_exit_code(monkeypatch):
     r = cli("verify-known", "grid-counts")
     assert r.returncode == 0
