@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from kssearch.pipeline import JobSpec, run_search
+from kssearch.pipeline import DEFAULT_TICKET_DEPTH, JobSpec, run_search
 
 
 def main() -> int:
@@ -35,7 +35,7 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=13, help="target size (13..17)")
     ap.add_argument("--out", required=True)
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--tickets-depth", type=int, default=7)
+    ap.add_argument("--tickets-depth", type=int, default=DEFAULT_TICKET_DEPTH)
     ap.add_argument("--max-tickets", type=int, default=None,
                     help="process only this many tickets, then stop (resumable)")
     args = ap.parse_args()

@@ -28,6 +28,7 @@ from .embedding import (
 from .pipeline import (
     DEFAULT_GRID_LADDER,
     DEFAULT_INTERVAL_BUDGET,
+    DEFAULT_TICKET_DEPTH,
     JobSpec,
     read_records,
     report_counts,
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--budget", type=int, default=DEFAULT_INTERVAL_BUDGET,
                     help="interval budget per 101-uncolourable graph that no ladder grid embeds")
     pp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    pp.add_argument("--tickets-depth", type=int, default=7)
+    pp.add_argument("--tickets-depth", type=int, default=DEFAULT_TICKET_DEPTH)
     pp.add_argument("--workers", type=int, default=1)
     pp.add_argument("--resume", action="store_true",
                     help="continue a job already present in --out")

@@ -212,15 +212,6 @@ def _backtrack_colour(g: Graph, k: int):
     return False, None
 
 
-def colouring_from_3colouring(witness) -> tuple[int, ...]:
-    """Turn a proper 3-colouring into a 101-colouring (class 1 becomes 0).
-
-    Adjacent vertices never share a colour class, so no edge is 0-0; a
-    triangle uses all three classes, so one vertex of each triangle gets 0.
-    """
-    return tuple(0 if c == 1 else 1 for c in witness)
-
-
 # ---------------------------------------------------------------------------
 # Exports
 

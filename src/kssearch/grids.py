@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from .graphs import Graph, _bits, is_square_free, triangles
 from .colouring import solve_101
@@ -242,20 +243,10 @@ class GridSubsystem:
 
     N: int
     indices: tuple[int, ...]
-    directions: tuple[Vec, ...]
     graph: Graph
 
 
-@dataclass(frozen=True)
-class TruncationMarker:
-    """Emitted when a subsystem search stops on budget rather than exhaustion."""
-
-    reason: str
-
-
-def minimize_uncolourable(
-    sys: GridSystem, scan_order: list[int] | None = None
-) -> GridSubsystem:
+def minimize_uncolourable(sys: GridSystem, scan_order: list[int]) -> GridSubsystem:
     """Greedy inclusion-minimal reduction of a non-101-colourable grid.
 
     One pass over the fixed scan order removes each vertex whose removal
@@ -268,15 +259,12 @@ def minimize_uncolourable(
     """
     if solve_101(sys.graph) is not None:
         raise ValueError("grid is 101-colourable; nothing to minimize")
-    nd = len(sys.directions)
-    if scan_order is None:
-        scan_order = list(range(nd))
-    current = set(range(nd))
+    current = set(range(len(sys.directions)))
     for v in scan_order:
         if solve_101(sys.graph.induced(sorted(current - {v}))) is None:
             current.remove(v)
     idx = tuple(sorted(current))
-    return GridSubsystem(sys.N, idx, tuple(sys.directions[i] for i in idx), sys.graph.induced(idx))
+    return GridSubsystem(sys.N, idx, sys.graph.induced(idx))
 
 
 def enumerate_grid_subsystems(
@@ -288,11 +276,10 @@ def enumerate_grid_subsystems(
 ):
     """Stream non-101-colourable induced subsystems of size <= size_bound.
 
-    Runs seeded greedy minimizations from the full grid (``mode`` accepts
-    only ``"sample"``; seed None keeps the identity scan order).  Each
-    emitted subsystem is re-validated uncolourable and deduplicated by
-    canonical label; a :class:`TruncationMarker` ends the stream when the
-    budget runs out first.
+    Runs a seeded greedy minimization from the full grid for each of the
+    first ``budget`` seeds (``mode`` accepts only ``"sample"``; seed None
+    keeps the identity scan order).  Each emitted subsystem is re-validated
+    uncolourable and deduplicated by canonical label.
     """
     from .orderly import canonical_code
 
@@ -303,14 +290,9 @@ def enumerate_grid_subsystems(
         return
     nd = len(sys.directions)
     seen: set[str] = set()
-    spent = 0
     if seeds is None:
         seeds = range(budget)
-    for seed in seeds:
-        if spent >= budget:
-            yield TruncationMarker(f"budget {budget} exhausted")
-            return
-        spent += 1
+    for seed in islice(seeds, budget):
         order = list(range(nd))
         if seed is not None:
             random.Random(seed).shuffle(order)

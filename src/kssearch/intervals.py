@@ -183,9 +183,6 @@ class IntervalBox:
     def midpoint(self) -> list[float]:
         return list(map(midpoint, self.lo, self.hi))
 
-    def contains_point(self, pt) -> bool:
-        return all(a <= v <= b for a, b, v in zip(self.lo, self.hi, pt))
-
 
 def bisect(box: IntervalBox) -> tuple[IntervalBox, IntervalBox]:
     """Split the widest dimension at its midpoint (ties: lowest index).

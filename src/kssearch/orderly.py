@@ -145,19 +145,17 @@ def _searcher(n: int, width: int, cols, spread, twins, restrict: bool, rows, tre
     return rec
 
 
-def is_canonical(g: Graph, connected: bool | None = None) -> bool:
+def is_canonical(g: Graph) -> bool:
     """Exact check that no relabeling yields a strictly greater code.
 
-    With ``connected`` (by default: whether g is connected) the search visits
-    only placements in which every vertex after the first has a placed
-    neighbour, which is exact for connected graphs.
+    When g is connected the search visits only placements in which every
+    vertex after the first has a placed neighbour, which is exact for
+    connected graphs; otherwise it visits every placement.
     """
-    if connected is None:
-        connected = is_connected(g)
     n, rows = g.n, g.rows
     rec = _searcher(
         n, n, _identity_columns(n, rows), _spread_rows(n, rows, n),
-        _twin_masks(n, rows), connected, rows,
+        _twin_masks(n, rows), is_connected(g), rows,
     )
     return rec(0, 0, 0, 0)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 
 from .graphs import (
     ENUM_MAX_VERTICES,
@@ -37,6 +37,7 @@ from .catalog import CatalogRecord, compact, read_records, require_type, write_s
 
 DEFAULT_GRID_LADDER = (1, 2, 3, 4, 5, 8)
 DEFAULT_INTERVAL_BUDGET = 20_000
+DEFAULT_TICKET_DEPTH = 7
 EXTRAPOLATE_TO = 30
 
 
@@ -50,7 +51,7 @@ class JobSpec:
     grid_ladder: tuple[int, ...] = DEFAULT_GRID_LADDER
     interval_budget: int = DEFAULT_INTERVAL_BUDGET
     delta: float = DEFAULT_DELTA
-    ticket_depth: int = 7
+    ticket_depth: int = DEFAULT_TICKET_DEPTH
     workers: int = 1
 
     def validate(self) -> None:
@@ -112,7 +113,8 @@ def evaluate_graph(
     re-validated in exact integers, settles the candidate: the interval
     stage is recorded as ``{"verdict": "skipped", "delta": delta,
     "steps": 0}``.  Only a candidate that no ladder grid embeds gets a
-    ``decide_embeddability`` run with ``interval_budget``."""
+    ``decide_embeddability`` run with ``interval_budget``, and every box it
+    refutes is re-checked in exact rationals."""
     three, _ = is_k_colourable(g, 3)
     four, _ = is_k_colourable(g, 4)
     if three:
@@ -146,7 +148,9 @@ def evaluate_graph(
         if grid["embedded_n"] is not None:
             interval = {"verdict": "skipped", "delta": delta, "steps": 0}
         else:
-            verdict = decide_embeddability(g, budget=interval_budget, delta=delta)
+            verdict = decide_embeddability(
+                g, budget=interval_budget, delta=delta, verify_refutations=True
+            )
             interval = {
                 "verdict": verdict.kind,
                 "delta": delta,
@@ -185,8 +189,10 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     spec_path = os.path.join(spec.out_dir, "spec.json")
     if os.path.exists(spec_path):
         with open(spec_path) as fh:
-            if JobSpec.from_json(fh.read()) != spec:
-                raise ValueError("output directory holds a different job spec")
+            stored = JobSpec.from_json(fh.read())
+        # where the job lives and how many processes run it change no record
+        if replace(stored, out_dir=spec.out_dir, workers=spec.workers) != spec:
+            raise ValueError("output directory holds a different job spec")
     else:
         write_synced(spec_path, [spec.to_json()])
 

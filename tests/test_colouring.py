@@ -9,7 +9,6 @@ import pytest
 from kssearch import colouring
 from kssearch.graphs import Graph
 from kssearch.colouring import (
-    colouring_from_3colouring,
     export_dimacs_101,
     is_k_colourable,
     solve_101,
@@ -73,7 +72,8 @@ def test_three_colourable_implies_101():
         ok3, w3 = is_k_colourable(g, 3)
         if ok3:
             assert solve_101(g) is not None
-            assert validate_101(g, colouring_from_3colouring(w3))
+            # colour class 1 becomes 0: no edge is 0-0 and every triangle has one 0
+            assert validate_101(g, tuple(0 if c == 1 else 1 for c in w3))
 
 
 def test_k_colourability_examples():
@@ -150,7 +150,7 @@ def test_filter_passes_known_ks_graph():
     from kssearch.grids import get_grid, minimize_uncolourable
     from kssearch.pipeline import evaluate_graph
 
-    sub = minimize_uncolourable(get_grid(2))
+    sub = minimize_uncolourable(get_grid(2), list(range(49)))
     flags = evaluate_graph(sub.graph, grid_ladder=(), interval_budget=1).flags
     assert flags["square_free"] and flags["min_degree_ge3"]
     assert flags["every_vertex_in_triangle"] and flags["four_colourable"]

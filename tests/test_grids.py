@@ -13,7 +13,6 @@ from kssearch.colouring import is_k_colourable, solve_101, validate_101
 from kssearch import grids
 from kssearch.grids import (
     GridEmbedding,
-    TruncationMarker,
     _axis_first,
     direction_count,
     enumerate_grid_subsystems,
@@ -306,7 +305,7 @@ def test_uncolourable_graph_on_colourable_grid_needs_no_search(n, monkeypatch):
 
 def test_minimize_uncolourable_requires_uncolourable():
     with pytest.raises(ValueError):
-        minimize_uncolourable(get_grid(1))
+        minimize_uncolourable(get_grid(1), list(range(13)))
 
 
 def _restart_greedy_indices(grid, order):
@@ -344,22 +343,29 @@ def test_subsystem_stream_n1_empty():
 
 def test_subsystem_stream_n2_finds_31():
     sys2 = get_grid(2)
-    found = []
-    for item in enumerate_grid_subsystems(
-        sys2, size_bound=31, budget=3, mode="sample", seeds=(None, 0, 1)
-    ):
-        if isinstance(item, TruncationMarker):
-            break
-        found.append(item)
+    found = list(
+        enumerate_grid_subsystems(sys2, size_bound=31, budget=3, mode="sample", seeds=(None, 0, 1))
+    )
     assert found, "identity scan order reaches a 31-vertex critical system"
     for sub in found:
         assert len(sub.indices) == 31
         assert solve_101(sub.graph) is None
 
 
-def test_subsystem_stream_truncation_marker():
+def test_subsystem_stream_runs_first_budget_seeds(monkeypatch):
     sys2 = get_grid(2)
+    identity = list(range(len(sys2.directions)))
+    minimize = grids.minimize_uncolourable
+    orders = []
+
+    def recorded(sys_, order):
+        orders.append(order)
+        return minimize(sys_, order)
+
+    monkeypatch.setattr(grids, "minimize_uncolourable", recorded)
     out = list(
         enumerate_grid_subsystems(sys2, size_bound=31, budget=1, mode="sample", seeds=(None, 0))
     )
-    assert isinstance(out[-1], TruncationMarker)
+    # seed 0 lies beyond the budget: it is never run, and nothing marks the stop
+    assert orders == [identity]
+    assert [sub.indices for sub in out] == [minimize(sys2, identity).indices]

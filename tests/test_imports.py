@@ -3,8 +3,9 @@
 Every name a kssearch module imports is read somewhere in that module.
 Each module is parsed with ``ast``; a name bound by ``import`` or
 ``from … import`` that no expression of the module reads is dead.  The
-package's ``__init__.py`` is not scanned: its imports are the package's
-exports.
+package's ``__init__.py`` exports nothing: each name is imported from its
+module, so importing the package loads no module, and an interval decision
+loads only the modules it uses.
 
 numpy and the process pool are imported by the functions that use them,
 so enumeration, colouring, a search over 101-colourable graphs and
@@ -39,7 +40,7 @@ def unread_imports(path: Path) -> set[str]:
 
 
 def test_no_unread_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     unread = {(p.stem, name) for p in modules for name in unread_imports(p)}
     assert unread - ALLOWED == set()
@@ -51,6 +52,10 @@ _LAZY_IMPORTS = """
 import sys
 sys.path.insert(0, {src!r})
 import kssearch
+assert not [m for m in sys.modules if m.startswith("kssearch.")]
+from kssearch import embedding
+loaded = sorted(m for m in sys.modules if m.startswith("kssearch."))
+assert loaded == ["kssearch.constraints", "kssearch.embedding", "kssearch.graphs", "kssearch.intervals"], loaded
 from kssearch import cli
 from kssearch.embedding import ProvedEmbeddable, decide_embeddability
 from kssearch.graphs import Graph
@@ -69,9 +74,10 @@ assert "numpy" in sys.modules
 
 
 def test_numpy_and_process_pool_load_on_first_use(tmp_path):
-    """In a fresh interpreter: a search over n <= 6, ``enumerate`` and
-    ``report`` load neither numpy nor the process pool; the first interval
-    decision loads numpy."""
+    """In a fresh interpreter: ``import kssearch`` loads no module and the
+    embedding module loads only what it imports; a search over n <= 6,
+    ``enumerate`` and ``report`` load neither numpy nor the process pool;
+    the first interval decision loads numpy."""
     job = tmp_path / "job"
     code = _LAZY_IMPORTS.format(
         src=str(SRC.parent),

@@ -109,7 +109,6 @@ def test_is_canonical_matches_brute_force_on_every_labelled_graph(n):
     for g in labelled_graphs(n):
         expected = brute_is_canonical(g)
         assert is_canonical(g) == expected, g
-        assert is_canonical(g, connected=False) == expected, g
 
 
 @pytest.mark.parametrize("g", TWIN_HEAVY, ids=encode_upper_triangle)
@@ -122,8 +121,7 @@ def test_is_canonical_matches_brute_force_on_twin_heavy_graphs(g):
         labellings += [relabel(g, perm), relabel(canonical_label(g), perm)]
     for h in labellings:
         expected = brute_is_canonical(h)
-        assert is_canonical(h, connected=True) == expected
-        assert is_canonical(h, connected=False) == expected
+        assert is_canonical(h) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,9 +134,7 @@ def test_is_canonical_matches_brute_force_on_drawn_graphs(drawn):
     g = Graph.from_edges(n, edges)
     for h in (g, canonical_label(g)):
         expected = brute_is_canonical(h)
-        assert is_canonical(h, connected=False) == expected
-        if is_connected(h):
-            assert is_canonical(h, connected=True) == expected
+        assert is_canonical(h) == expected
 
 
 @pytest.mark.parametrize("square_free", [True, False])

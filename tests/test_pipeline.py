@@ -124,7 +124,7 @@ def test_record_rejects_grid_witness_beside_interval_refutation():
 
 
 def test_evaluate_graph_skips_interval_after_grid_embedding(monkeypatch):
-    g = minimize_uncolourable(get_grid(2)).graph
+    g = minimize_uncolourable(get_grid(2), list(range(49))).graph
 
     def no_interval_stage(*args, **kwargs):
         raise AssertionError("interval stage ran after a grid embedding")
@@ -141,6 +141,29 @@ def test_evaluate_graph_skips_interval_after_grid_embedding(monkeypatch):
     rec = evaluate_graph(g, grid_ladder=(1,), interval_budget=1)
     assert rec.grid == {"embedded_n": None, "tried_up_to": 1}
     assert rec.interval == {"verdict": "inconclusive", "delta": DEFAULT_DELTA, "steps": 1}
+
+
+def test_evaluate_graph_rechecks_refutations_exactly(monkeypatch):
+    from kssearch import embedding
+
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    recheck = embedding.recheck_refutation_exact
+    kinds = []
+
+    def spy(cs, refutation):
+        kinds.append(refutation.kind)
+        return recheck(cs, refutation)
+
+    # C4 posing as an uncolourable candidate reaches the interval stage
+    monkeypatch.setattr(pipeline, "is_k_colourable", lambda g, k: (False, None))
+    monkeypatch.setattr(pipeline, "solve_101", lambda g: None)
+    monkeypatch.setattr(embedding, "recheck_refutation_exact", spy)
+    rec = evaluate_graph(c4, grid_ladder=())
+    assert rec.interval["verdict"] == "unembeddable"
+    assert kinds
+    monkeypatch.setattr(embedding, "recheck_refutation_exact", lambda cs, refutation: False)
+    with pytest.raises(AssertionError, match="exact shadow check failed"):
+        evaluate_graph(c4, grid_ladder=())
 
 
 def test_evaluate_graph_flags():
@@ -279,6 +302,24 @@ def test_every_job_file_is_synced_before_rename(tmp_path, monkeypatch):
     top = set(os.listdir(spec.out_dir)) - {"shards"}
     assert top == {"spec.json", "catalog.jsonl", "summary.json"}
     assert renamed == top | shards
+
+
+def test_resume_through_another_path_with_another_worker_count(tmp_path, monkeypatch):
+    full = spec_for(tmp_path / "full", 8, ticket_depth=4)
+    run_search(full)
+    part = spec_for(tmp_path / "part", 8, ticket_depth=4)
+    assert not run_search(part, max_tickets=3)["complete"]
+    stored = open(os.path.join(part.out_dir, "spec.json")).read()
+    os.rename(part.out_dir, tmp_path / "moved")
+    monkeypatch.chdir(tmp_path)
+    # neither the directory's path nor the worker count changes a record
+    assert run_search(spec_for("./moved", 8, ticket_depth=4, workers=2))["complete"]
+    c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
+    assert open("moved/catalog.jsonl", "rb").read() == c1
+    assert open("moved/spec.json").read() == stored
+    for changed in ({"interval_budget": 5}, {"ticket_depth": 5}):
+        with pytest.raises(ValueError, match="different job spec"):
+            run_search(spec_for("./moved", 8, **{"ticket_depth": 4, **changed}))
 
 
 def test_resume_rejects_changed_spec(tmp_path):
