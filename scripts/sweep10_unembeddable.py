@@ -51,7 +51,7 @@ def main() -> int:
 
     for g in candidates:
         t1 = time.time()
-        verdict = decide_embeddability(g, budget=args.budget)
+        verdict = decide_embeddability(g, budget=args.budget, verify_refutations=True)
         tag = "REFUTED" if isinstance(verdict, ProvedUnembeddable) else verdict.kind
         print(f"{graph6_encode(g)}: {tag} "
               f"(steps={verdict.stats.contraction_steps}, {time.time()-t1:.0f}s)")

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 budget-exhausted (some interval verdict inconclusive).  ``pipeline`` exits
 with 2 when any ticket failed (``tickets_failed`` in the summary is not
 empty); the summary is written all the same, and ``--resume`` runs the
-failed tickets again.
+failed tickets again.  Any command exits with 2 when a certificate fails
+its re-check, such as ``embed-interval``'s exact one of each refutation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 
 from .graphs import Graph6Error, graph6_decode, graph6_encode
-from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
+from .orderly import SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import export_dimacs_101, solve_101, witness_to_json
 from .grids import get_grid, grid_embed
 from .constraints import DEFAULT_DELTA
@@ -49,13 +50,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _parse_filters(text: str) -> Filters:
-    names = {f.strip() for f in text.split(",") if f.strip()}
-    known = {"square-free", "connected"}
-    bad = names - known
-    if bad:
-        raise ValueError(f"unknown filters {sorted(bad)}; known: {sorted(known)}")
-    return Filters(square_free="square-free" in names, connected="connected" in names)
+def _n_range(text: str) -> tuple[int, int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"--n must be N or A..B, not {text!r}") from None
+
+
+def _grid_ladder(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise ValueError(f"--grid-n must be comma-separated integers, not {text!r}") from None
 
 
 def _input_graphs(args, stack: contextlib.ExitStack):
@@ -86,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("enumerate", help="stream canonical graphs as graph6 lines")
     pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--filters", default="square-free,connected")
-    pe.add_argument("--tickets-depth", type=int, default=None,
-                    help="list subtree tickets at this depth instead of enumerating")
-    pe.add_argument("--ticket", default=None, help="enumerate only this subtree")
+    walk = pe.add_mutually_exclusive_group()
+    walk.add_argument("--tickets-depth", type=int, default=None,
+                      help="list subtree tickets at this depth (1..N) instead of enumerating")
+    walk.add_argument("--ticket", default=None, help="enumerate only this subtree")
     pe.add_argument("--out", default="-")
 
     pc = sub.add_parser("colour", help="decide 101-colourability of input graphs")
@@ -109,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("pipeline", help="full enumerate/filter/colour/embed job")
     pp.add_argument("--n", required=True, help="target size or range a..b")
-    pp.add_argument("--filters", default="square-free,connected")
     pp.add_argument("--grid-n", default=",".join(str(g) for g in DEFAULT_GRID_LADDER),
                     help="comma-separated grid ladder")
     pp.add_argument("--budget", type=int, default=DEFAULT_INTERVAL_BUDGET,
@@ -144,6 +150,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
+    except AssertionError as e:  # a certificate failed its independent re-check
+        sys.stderr.write(f"error: verification failed: {e}\n")
+        return EXIT_VERIFICATION
 
 
 def _dispatch(args, stack: contextlib.ExitStack) -> int:
@@ -151,14 +160,16 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
     cmd = args.command
 
     if cmd == "enumerate":
-        filters = _parse_filters(args.filters)
+        depth = args.tickets_depth
+        if depth is not None and not 1 <= depth <= args.n:
+            raise ValueError(f"--tickets-depth must lie in 1..{args.n} (--n), not {depth}")
         out = _out_stream(args, stack)
-        if args.tickets_depth is not None and args.ticket is None:
-            for t in list_tickets(args.tickets_depth, filters):
+        if depth is not None:
+            for t in list_tickets(depth):
                 out.write(t.ticket_id + "\n")
             return EXIT_OK
         ticket = SubtreeTicket.from_id(args.ticket) if args.ticket else None
-        for g in enumerate_graphs(args.n, filters, ticket):
+        for g in enumerate_graphs(args.n, ticket):
             out.write(graph6_encode(g) + "\n")
         return EXIT_OK
 
@@ -188,7 +199,9 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
         out = _out_stream(args, stack)
         exit_code = EXIT_OK
         for g in _input_graphs(args, stack):
-            verdict = decide_embeddability(g, budget=args.budget, delta=args.delta)
+            verdict = decide_embeddability(
+                g, budget=args.budget, delta=args.delta, verify_refutations=True
+            )
             rec = json.loads(verdict_to_json(verdict, delta=args.delta, budget=args.budget))
             rec["graph6"] = graph6_encode(g)
             out.write(json.dumps(rec) + "\n")
@@ -197,21 +210,12 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
         return exit_code
 
     if cmd == "pipeline":
-        text = args.n
-        if ".." in text:
-            lo, hi = text.split("..")
-            n_min, n_max = int(lo), int(hi)
-        else:
-            n_min = n_max = int(text)
-        filters = _parse_filters(args.filters)
-        ladder = tuple(int(x) for x in args.grid_n.split(",") if x)
+        n_min, n_max = _n_range(args.n)
         spec = JobSpec(
             n_min=n_min,
             n_max=n_max,
             out_dir=args.out,
-            square_free=filters.square_free,
-            connected=filters.connected,
-            grid_ladder=ladder,
+            grid_ladder=_grid_ladder(args.grid_n),
             interval_budget=args.budget,
             delta=args.delta,
             ticket_depth=args.tickets_depth,

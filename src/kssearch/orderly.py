@@ -2,9 +2,10 @@
 
 A labelling is canonical when its upper-triangle code is lexicographically
 greatest over all relabelings.  Enumeration grows canonical matrices one
-column at a time, discarding non-canonical extensions immediately; with the
-square-free and connected filters this yields exactly one representative per
-isomorphism class of connected square-free graphs.
+column at a time, discarding non-canonical extensions immediately, and
+yields exactly one representative per isomorphism class of connected
+square-free graphs: in R^3 a 4-cycle of orthogonal vectors forces two of
+them to coincide, and a smallest Kochen-Specker system is connected.
 
 Connected graphs admit a strong search restriction: every prefix of a
 canonical matrix of a connected graph is connected, so candidate vertices in
@@ -40,14 +41,6 @@ ORACLE_MAX_N = 7
 
 class CanonicalBudgetExceeded(RuntimeError):
     """The canonical-labelling cell search hit its node limit."""
-
-
-@dataclass(frozen=True, slots=True)
-class Filters:
-    """Hereditary filters applied during enumeration."""
-
-    square_free: bool = True
-    connected: bool = True
 
 
 def _identity_columns(n: int, rows) -> list[int]:
@@ -369,15 +362,16 @@ def canonical_code(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # Matrix extension
 
-def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
-    """All canonical one-vertex extensions of a canonical prefix.
+def extend(prefix: Graph) -> list[Graph]:
+    """All connected square-free canonical one-vertex extensions of a
+    canonical prefix.
 
     Candidate last columns S are tried in descending code order and
     filtered: square-free incrementally (the new vertex must close no
     4-cycle, i.e. its neighbours must have pairwise disjoint
     neighbourhoods), connected-prefix rule (empty column discarded), orbit
     rule, canonicity last.  A prefix that is not canonical has no canonical
-    extension; neither has a disconnected one under the connected filter.
+    extension, and neither has a disconnected one.
 
     The prefix's own canonicity search runs once, at the child's width, and
     its tree is kept.  Its tied leaves and its twin transpositions generate
@@ -408,15 +402,14 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
     """
     k = prefix.n
     rows = prefix.rows
-    restrict = filters.connected
-    if k >= ENUM_MAX_VERTICES or (restrict and not is_connected(prefix)):
+    if k >= ENUM_MAX_VERTICES or not is_connected(prefix):
         return []
     n = k + 1
     cols = _identity_columns(k, rows)
     twins = _twin_masks(k, rows)
     spread = _spread_rows(k, rows, n)
     tree: list[tuple[int, int, int, int]] = []
-    if not _searcher(k, n, cols, spread, twins, restrict, rows, tree)(0, 0, 0, 0):
+    if not _searcher(k, n, cols, spread, twins, True, rows, tree)(0, 0, 0, 0):
         return []
 
     # the vertex a node places is what its used set adds to its parent's
@@ -440,14 +433,14 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
             p[u], p[v] = v, u
             gens.append(p)
 
+    # vertices that share a neighbour: a column holding both closes a 4-cycle
     conf = [0] * k
-    if filters.square_free:
-        for i in range(k):
-            ri = rows[i]
-            for j in range(i + 1, k):
-                if ri & rows[j]:
-                    conf[i] |= 1 << j
-                    conf[j] |= 1 << i
+    for i in range(k):
+        ri = rows[i]
+        for j in range(i + 1, k):
+            if ri & rows[j]:
+                conf[i] |= 1 << j
+                conf[j] |= 1 << i
     kbit = 1 << k
     ktop = 1 << k * n
     seen: set[int] = set()
@@ -483,10 +476,9 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
                 k_twins |= b
         child_cols[k] = newcol
         # pass 1: k's column value at every node, with no search.  k ties
-        # only where it is a candidate: under the connected filter the
-        # prefix's columns after the first are nonzero, so a tying k has a
-        # placed neighbour.  An unplaced twin of k, whose subtree the tree
-        # holds, stands for it.
+        # only where it is a candidate: the connected prefix's columns after
+        # the first are nonzero, so a tying k has a placed neighbour.  An
+        # unplaced twin of k, whose subtree the tree holds, stands for it.
         k_at = [0] * n  # k's column value at the current node of each depth
         ties = []
         for node in nodes:
@@ -510,14 +502,14 @@ def extend(prefix: Graph, filters: Filters = Filters()) -> list[Graph]:
             b = m & -m
             m ^= b
             child_spread[b.bit_length() - 1] |= ktop
-        rec = _searcher(n, n, child_cols, child_spread, twins, restrict, rows)
+        rec = _searcher(n, n, child_cols, child_spread, twins, True, rows)
         return all(
             rec(d + 1, used | kbit, frontier | S, packed << 1 | sk)
             for d, _, used, frontier, packed in ties
         )
 
     def emit(S: int) -> None:
-        if S == 0 and restrict or S in seen:
+        if S == 0 or S in seen:
             return
         seen.add(S)
         stack = [S]
@@ -565,26 +557,26 @@ class SubtreeTicket:
         return SubtreeTicket(graph_from_code(n, code_from_hex(n, hexpart)))
 
 
-def list_tickets(depth: int, filters: Filters = Filters()) -> list[SubtreeTicket]:
+def list_tickets(depth: int) -> list[SubtreeTicket]:
     """Tickets at a fixed split depth; they partition the enumeration exactly."""
-    return [SubtreeTicket(g) for g in enumerate_graphs(depth, filters)]
+    return [SubtreeTicket(g) for g in enumerate_graphs(depth)]
 
 
 def enumerate_graphs(
     n_target: int,
-    filters: Filters = Filters(),
     ticket: SubtreeTicket | None = None,
     n_min: int | None = None,
 ) -> Iterator[Graph]:
-    """Stream one canonical representative per isomorphism class at n_target.
+    """Stream one canonical representative per isomorphism class of
+    connected square-free graphs at n_target.
 
     Deterministic DFS order (descending candidate column code).  With
     ``n_min``, one preorder walk streams every class with n_min <= n <=
     n_target, each before its extensions; the classes of one size come in
     the order ``enumerate_graphs`` gives that size alone.  With a ticket,
     only that subtree is walked; a ticket whose prefix the enumeration never
-    reaches (not canonical, or failing a filter) raises ValueError rather
-    than yielding nothing.
+    reaches (not canonical, disconnected, or with a 4-cycle) raises
+    ValueError rather than yielding nothing.
     """
     if not 1 <= n_target <= ENUM_MAX_VERTICES:
         raise ValueError(f"n_target outside 1..{ENUM_MAX_VERTICES}")
@@ -597,9 +589,9 @@ def enumerate_graphs(
         start = ticket.prefix
         if start.n > n_target:
             raise ValueError("ticket deeper than enumeration target")
-        if filters.connected and not is_connected(start):
+        if not is_connected(start):
             raise ValueError(f"ticket {ticket.ticket_id}: prefix is disconnected")
-        if filters.square_free and not is_square_free(start):
+        if not is_square_free(start):
             raise ValueError(f"ticket {ticket.ticket_id}: prefix contains a 4-cycle")
         if not is_canonical(start):
             raise ValueError(f"ticket {ticket.ticket_id}: prefix is not canonical")
@@ -609,7 +601,7 @@ def enumerate_graphs(
             yield g
         if g.n == n_target:
             return
-        for child in extend(g, filters):
+        for child in extend(g):
             yield from walk(child)
 
     yield from walk(start)
@@ -618,10 +610,9 @@ def enumerate_graphs(
 # ---------------------------------------------------------------------------
 # Brute-force oracle (independent of the branch-and-bound machinery)
 
-def brute_force_classes(
-    n: int, square_free: bool = True, connected: bool = True
-) -> list[Graph]:
-    """One representative per isomorphism class by exhaustive enumeration.
+def brute_force_classes(n: int) -> list[Graph]:
+    """One representative per isomorphism class of connected square-free
+    graphs by exhaustive enumeration.
 
     Walks all 2^(n(n-1)/2) labelled graphs as code integers, filters with
     vectorised bitmask arithmetic, then sweeps the surviving codes in
@@ -643,6 +634,7 @@ def brute_force_classes(
     survivors = []
     chunk = 1 << 16
     total = 1 << L
+    pop = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int8)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         rows = np.zeros((n, len(codes)), dtype=np.int32)
@@ -650,20 +642,18 @@ def brute_force_classes(
             b = (codes >> s & 1).astype(np.int32)
             rows[i] |= b << j
             rows[j] |= b << i
+        # square-free: no two rows share two neighbours; then connected
         ok = np.ones(len(codes), dtype=bool)
-        if square_free:
-            pop = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int8)
+        for i in range(n):
+            for j in range(i + 1, n):
+                ok &= pop[rows[i] & rows[j]] <= 1
+        reach = np.ones(len(codes), dtype=np.int32)
+        for _ in range(n - 1):
+            nbr = np.zeros_like(reach)
             for i in range(n):
-                for j in range(i + 1, n):
-                    ok &= pop[rows[i] & rows[j]] <= 1
-        if connected:
-            reach = np.ones(len(codes), dtype=np.int32)
-            for _ in range(n - 1):
-                nbr = np.zeros_like(reach)
-                for i in range(n):
-                    nbr |= np.where(reach >> i & 1 == 1, rows[i], 0)
-                reach |= nbr
-            ok &= reach == (1 << n) - 1
+                nbr |= np.where(reach >> i & 1 == 1, rows[i], 0)
+            reach |= nbr
+        ok &= reach == (1 << n) - 1
         survivors.append(codes[ok])
     codes = np.concatenate(survivors)
     codes[::-1].sort()

@@ -27,7 +27,7 @@ from .graphs import (
     is_square_free,
     min_degree,
 )
-from .orderly import Filters, SubtreeTicket, enumerate_graphs, list_tickets
+from .orderly import SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import is_k_colourable, solve_101, validate_101
 from .grids import MAX_GRID_N, get_grid, grid_embed, validate_grid_embedding
 from .constraints import DEFAULT_DELTA, MIN_DELTA
@@ -46,8 +46,6 @@ class JobSpec:
     n_min: int
     n_max: int
     out_dir: str
-    square_free: bool = True
-    connected: bool = True
     grid_ladder: tuple[int, ...] = DEFAULT_GRID_LADDER
     interval_budget: int = DEFAULT_INTERVAL_BUDGET
     delta: float = DEFAULT_DELTA
@@ -68,10 +66,6 @@ class JobSpec:
         if not MIN_DELTA <= self.delta < 1:
             raise ValueError(f"delta must lie in [{MIN_DELTA}, 1)")
 
-    @property
-    def filters(self) -> Filters:
-        return Filters(square_free=self.square_free, connected=self.connected)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
@@ -79,17 +73,21 @@ class JobSpec:
     def from_json(text: str) -> "JobSpec":
         """The spec of one ``spec.json``; ValueError naming the key unless it
         is a JSON object with exactly the fields of JobSpec, each of its type
-        (ints not bools, a number for delta, a list of ints for the ladder)."""
+        (ints not bools, a number for delta, a list of ints for the ladder).
+        A spec written while enumeration could drop the square-free or the
+        connected filter may still hold those keys, but only as true."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("job spec is not a JSON object")
+        for key in ("square_free", "connected"):
+            if key in data and (value := data.pop(key)) is not True:
+                raise ValueError(f"job spec {key!r} value {value!r} is not true")
         names = [f.name for f in fields(JobSpec)]
         for key in data:
             if key not in names:
                 raise ValueError(f"job spec has unknown key {key!r}")
         # JSON kinds by field annotation; a ladder is a list of ints
-        kinds = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-                 "tuple[int, ...]": (list,)}
+        kinds = {"int": (int,), "float": (int, float), "str": (str,), "tuple[int, ...]": (list,)}
         for f in fields(JobSpec):
             if f.name not in data:
                 raise ValueError(f"job spec has no {f.name!r} key")
@@ -165,7 +163,7 @@ def _process_ticket(args) -> None:
     spec, shards, ticket_id = args
     ticket = SubtreeTicket.from_id(ticket_id) if ticket_id else None
     lines: dict[int, list[str]] = {n: [] for n in shards}
-    for g in enumerate_graphs(max(shards), spec.filters, ticket, n_min=min(shards)):
+    for g in enumerate_graphs(max(shards), ticket, n_min=min(shards)):
         if g.n in lines:
             record = evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta)
             lines[g.n].append(record.to_json() + "\n")
@@ -201,7 +199,7 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
     walks = [(None, range(spec.n_min, min(spec.n_max, depth) + 1))]
     if spec.n_max > depth:
         above = range(max(spec.n_min, depth + 1), spec.n_max + 1)
-        walks += [(t, above) for t in list_tickets(depth, spec.filters)]
+        walks += [(t, above) for t in list_tickets(depth)]
     tasks = []
     for t, ns in walks:
         ticket_id = t.ticket_id if t else ""

@@ -17,13 +17,13 @@ from kssearch.graphs import (
     encode_upper_triangle,
     graph_from_code,
     is_connected,
+    is_square_free,
 )
 from kssearch.grids import get_grid, minimize_uncolourable
 from kssearch import orderly
 from kssearch.orderly import (
     DEFAULT_NODE_LIMIT,
     CanonicalBudgetExceeded,
-    Filters,
     SubtreeTicket,
     _spread_rows,
     brute_force_classes,
@@ -137,25 +137,22 @@ def test_is_canonical_matches_brute_force_on_drawn_graphs(drawn):
         assert is_canonical(h) == expected
 
 
-@pytest.mark.parametrize("square_free", [True, False])
-@pytest.mark.parametrize("connected", [True, False])
-def test_extend_matches_brute_force_children(square_free, connected):
+def test_extend_matches_brute_force_children():
     """extend(P) lists, in descending code order, exactly the oracle's classes
     on one more vertex whose canonical form has P as its prefix."""
-    filters = Filters(square_free, connected)
     for k in range(1, 7):
         children = {}
-        for g in brute_force_classes(k + 1, square_free, connected):
+        for g in brute_force_classes(k + 1):
             prefix = Graph(k, tuple(r & ((1 << k) - 1) for r in g.rows[:k]))
             children.setdefault(prefix, []).append(encode_upper_triangle(g))
-        prefixes = set(brute_force_classes(k, square_free, connected))
-        if not square_free and k <= 4:
-            # non-canonical and (under the connected filter) disconnected
-            # prefixes have no canonical extension
-            prefixes.update(labelled_graphs(k))
+        prefixes = set(brute_force_classes(k))
+        if k <= 4:
+            # non-canonical and disconnected prefixes have no canonical
+            # extension
+            prefixes.update(g for g in labelled_graphs(k) if is_square_free(g))
         for p in prefixes:
             expected = sorted(children.pop(p, []), reverse=True)
-            assert [encode_upper_triangle(c) for c in extend(p, filters)] == expected, p
+            assert [encode_upper_triangle(c) for c in extend(p)] == expected, p
         assert not children
 
 
@@ -355,22 +352,18 @@ def test_canonical_label_matches_reference_on_bench_candidates(scan):
 
 
 def test_extend_from_k1():
-    both = extend(K1, Filters(square_free=True, connected=False))
-    assert sorted(encode_upper_triangle(g) for g in both) == ["0", "1"]
-    connected = extend(K1, Filters(square_free=True, connected=True))
-    assert [encode_upper_triangle(g) for g in connected] == ["1"]
+    # the edgeless child "0" is disconnected
+    assert [encode_upper_triangle(g) for g in extend(K1)] == ["1"]
 
 
 def test_extend_from_k2():
-    children = extend(K2, Filters(True, True))
+    children = extend(K2)
     assert sorted(encode_upper_triangle(g) for g in children) == ["110", "111"]
 
 
 def test_extend_never_closes_squares():
     for g in enumerate_graphs(5):
         for child in extend(g):
-            from kssearch.graphs import is_square_free
-
             assert is_square_free(child)
 
 
@@ -396,10 +389,11 @@ def test_enumerate_matches_oracle(n):
     assert oracle == set(enum)
 
 
-def test_oracle_connected_only_counts():
-    # all connected graphs on 4 vertices: 6 classes
-    assert len(brute_force_classes(4, square_free=False, connected=True)) == 6
-    assert len(brute_force_classes(2)) == 1
+def test_oracle_counts():
+    # connected square-free classes on 1..6 vertices, counted by exhaustion
+    assert [len(brute_force_classes(n)) for n in range(1, 7)] == [1, 1, 2, 3, 8, 19]
+    with pytest.raises(ValueError, match="n <= 7"):
+        brute_force_classes(8)
 
 
 def test_prefix_closedness_and_connectedness():
@@ -409,17 +403,6 @@ def test_prefix_closedness_and_connectedness():
                 prefix = Graph(k, tuple(r & ((1 << k) - 1) for r in g.rows[:k]))
                 assert is_canonical(prefix)
                 assert is_connected(prefix)
-
-
-def test_connected_mode_equals_posthoc_filtering():
-    for n in range(2, 8):
-        pruned = {encode_upper_triangle(g) for g in enumerate_graphs(n, Filters(True, True))}
-        unpruned = {
-            encode_upper_triangle(g)
-            for g in enumerate_graphs(n, Filters(True, False))
-            if is_connected(g)
-        }
-        assert pruned == unpruned
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
@@ -433,47 +416,45 @@ def test_ticket_partition(depth):
     assert len(set(merged)) == len(merged)
 
 
-@pytest.mark.parametrize("filters, n_target", [(Filters(), 9), (Filters(False, False), 6)])
-def test_one_walk_yields_each_level_in_order(filters, n_target):
+def test_one_walk_yields_each_level_in_order():
+    n_target = 9
+
     def levels(ticket, n_min):
-        walk = list(enumerate_graphs(n_target, filters, ticket, n_min=n_min))
+        walk = list(enumerate_graphs(n_target, ticket, n_min=n_min))
         assert [g.n for g in walk if g.n < n_min] == []
         for m in range(n_min, n_target + 1):
-            alone = list(enumerate_graphs(m, filters, ticket))
+            alone = list(enumerate_graphs(m, ticket))
             assert [g for g in walk if g.n == m] == alone
         return walk
 
     assert len(levels(None, 1)) == sum(
-        len(list(enumerate_graphs(m, filters))) for m in range(1, n_target + 1)
+        len(list(enumerate_graphs(m))) for m in range(1, n_target + 1)
     )
-    for t in [None, *list_tickets(4, filters)]:
+    for t in [None, *list_tickets(4)]:
         levels(t, 5)
     with pytest.raises(ValueError, match="n_min"):
-        list(enumerate_graphs(5, filters, n_min=6))
+        list(enumerate_graphs(5, n_min=6))
 
 
 def test_ticket_outside_enumeration_rejected():
     path_021 = Graph.from_edges(3, [(0, 2), (1, 2)])  # P3, not canonical
     edge_12 = Graph.from_edges(3, [(1, 2)])  # disconnected
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    for prefix, filters, reason in (
-        (path_021, Filters(), "not canonical"),
-        (edge_12, Filters(), "disconnected"),
-        (c4, Filters(), "4-cycle"),
+    for prefix, reason in (
+        (path_021, "not canonical"),
+        (edge_12, "disconnected"),
+        (c4, "4-cycle"),
     ):
         with pytest.raises(ValueError, match=reason):
-            list(enumerate_graphs(5, filters, SubtreeTicket(prefix)))
-    # the same prefixes are fine where no filter excludes them
-    assert list(enumerate_graphs(4, Filters(True, False), SubtreeTicket(canonical_label(edge_12))))
-    assert list(enumerate_graphs(4, Filters(False, True), SubtreeTicket(canonical_label(c4))))
+            list(enumerate_graphs(5, SubtreeTicket(prefix)))
 
 
 def test_enumeration_cap():
     with pytest.raises(ValueError, match=f"1..{ENUM_MAX_VERTICES}"):
         list(enumerate_graphs(ENUM_MAX_VERTICES + 1))
-    # a prefix at the cap has no extensions, whatever the filters
-    at_cap = Graph(ENUM_MAX_VERTICES, (0,) * ENUM_MAX_VERTICES)
-    assert extend(at_cap, Filters(square_free=False, connected=False)) == []
+    # a connected square-free prefix at the cap has no extensions
+    at_cap = star(ENUM_MAX_VERTICES - 1)
+    assert is_canonical(at_cap) and extend(at_cap) == []
 
 
 def test_ticket_id_roundtrip():

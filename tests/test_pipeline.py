@@ -15,8 +15,7 @@ from kssearch.catalog import CatalogRecord, read_records
 from kssearch.constraints import DEFAULT_DELTA, MIN_DELTA
 from kssearch.graphs import ENUM_MAX_VERTICES, Graph, graph6_encode
 from kssearch.grids import GridEmbedding, get_grid, minimize_uncolourable, validate_grid_embedding
-from kssearch.cli import _parse_filters
-from kssearch.orderly import CanonicalBudgetExceeded, Filters, brute_force_classes, list_tickets
+from kssearch.orderly import CanonicalBudgetExceeded, list_tickets
 from kssearch.pipeline import (
     JobSpec,
     _process_ticket as process_ticket,
@@ -322,6 +321,46 @@ def test_resume_through_another_path_with_another_worker_count(tmp_path, monkeyp
             run_search(spec_for("./moved", 8, **{"ticket_depth": 4, **changed}))
 
 
+def test_spec_json_holds_the_job_spec_fields_only(tmp_path):
+    spec = spec_for(tmp_path / "j", 3)
+    run_search(spec)
+    data = json.loads(open(os.path.join(spec.out_dir, "spec.json")).read())
+    assert sorted(data) == sorted([
+        "n_min", "n_max", "out_dir", "grid_ladder", "interval_budget", "delta",
+        "ticket_depth", "workers",
+    ])
+    assert JobSpec.from_json(json.dumps(data)) == spec
+
+
+def test_resume_accepts_a_spec_with_the_filter_keys_true(tmp_path, capsys):
+    """A spec.json from before enumeration lost its square-free/connected
+    filter knob holds both keys; set to true, they are the only class."""
+    from kssearch.cli import EXIT_USAGE, main
+
+    clean = spec_for(tmp_path / "clean", 8, ticket_depth=4)
+    run_search(clean)
+    spec = spec_for(tmp_path / "j", 8, ticket_depth=4)
+    run_search(spec, max_tickets=3)
+    path = os.path.join(spec.out_dir, "spec.json")
+    data = json.loads(open(path).read())
+    data.update(square_free=True, connected=True)
+    old = json.dumps(data, sort_keys=True)  # the earlier writer's exact format
+    open(path, "w").write(old)
+    assert run_search(spec)["complete"]
+    catalog = "catalog.jsonl"
+    assert open(os.path.join(spec.out_dir, catalog), "rb").read() == open(
+        os.path.join(clean.out_dir, catalog), "rb"
+    ).read()
+    assert open(path).read() == old
+    open(path, "w").write(old.replace('"connected": true', '"connected": false'))
+    with pytest.raises(ValueError, match="'connected' value False is not true"):
+        run_search(spec)
+    argv = ["pipeline", "--n", "1..8", "--tickets-depth", "4", "--out", spec.out_dir, "--resume"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'connected'" in err, err
+
+
 def test_resume_rejects_changed_spec(tmp_path):
     spec = spec_for(tmp_path / "j", 4)
     run_search(spec)
@@ -353,6 +392,8 @@ def _edit_json_lines(path, edit) -> None:
         (lambda d: d.update(delta="0.01"), "'delta'"),
         (lambda d: d.update(out_dir=7), "'out_dir'"),
         (lambda d: d.update(square_free=1), "'square_free'"),
+        (lambda d: d.update(square_free=False), "'square_free'"),
+        (lambda d: d.update(connected=None), "'connected'"),
     ],
 )
 def test_resume_rejects_malformed_spec(tmp_path, capsys, edit, message):
@@ -558,45 +599,20 @@ def cli(*args, input=None):
     )
 
 
-def test_cli_enumerate_and_usage():
+def test_cli_enumerate_and_usage(tmp_path):
     r = cli("enumerate", "--n", "4")
     assert r.returncode == 0 and len(r.stdout.splitlines()) == 3
     r = cli("enumerate")
     assert r.returncode == 1
-    r = cli("enumerate", "--n", "4", "--filters", "nonsense")
-    assert r.returncode == 1
-    for text, square_free, connected in (
-        ("", False, False),
-        ("connected", False, True),
-        ("square-free", True, False),
-    ):
-        r = cli("enumerate", "--n", "4", "--filters", text)
-        expected = len(brute_force_classes(4, square_free=square_free, connected=connected))
-        assert r.returncode == 0 and len(r.stdout.splitlines()) == expected
     for removed in ("export-poly", "random-graphs"):
         r = cli(removed)
         assert r.returncode == 1 and "invalid choice" in r.stderr
-
-
-@pytest.mark.parametrize(
-    "text, expected",
-    [
-        ("", Filters(False, False)),
-        ("connected", Filters(square_free=False, connected=True)),
-        ("square-free", Filters(square_free=True, connected=False)),
-        ("square-free,connected", Filters(True, True)),
-        (" connected , square-free ", Filters(True, True)),
-        (",connected,,connected,", Filters(square_free=False, connected=True)),
-    ],
-)
-def test_parse_filters(text, expected):
-    assert _parse_filters(text) == expected
-
-
-@pytest.mark.parametrize("text", ["nonsense", "connected,triangle-free"])
-def test_parse_filters_rejects_unknown_names(text):
-    with pytest.raises(ValueError, match="known: \\['connected', 'square-free'\\]"):
-        _parse_filters(text)
+    # enumeration has one class of graphs, connected square-free ones
+    out = tmp_path / "d"
+    for argv in (["enumerate", "--n", "4"], ["pipeline", "--n", "4", "--out", str(out)]):
+        r = cli(*argv, "--filters", "x")
+        assert r.returncode == 1 and "unrecognized arguments: --filters x" in r.stderr
+    assert not out.exists()
 
 
 def test_cli_enumerate_tickets_partition_the_enumeration(capsys):
@@ -604,7 +620,7 @@ def test_cli_enumerate_tickets_partition_the_enumeration(capsys):
 
     assert main(["enumerate", "--n", "6", "--tickets-depth", "4"]) == 0
     tickets = capsys.readouterr().out.split()
-    assert tickets == [t.ticket_id for t in list_tickets(4, Filters())]
+    assert tickets == [t.ticket_id for t in list_tickets(4)]
     assert main(["enumerate", "--n", "6"]) == 0
     whole = capsys.readouterr().out.splitlines()
     parts = []
@@ -612,6 +628,27 @@ def test_cli_enumerate_tickets_partition_the_enumeration(capsys):
         assert main(["enumerate", "--n", "6", "--ticket", ticket]) == 0
         parts += capsys.readouterr().out.splitlines()
     assert whole and sorted(parts) == sorted(whole)
+
+
+@pytest.mark.parametrize("n, depth", [(3, 5), (3, 4), (4, 0), (4, -1)])
+def test_cli_enumerate_tickets_depth_lies_in_1_to_n(capsys, n, depth):
+    from kssearch.cli import EXIT_USAGE, main
+
+    assert main(["enumerate", "--n", str(n), "--tickets-depth", str(depth)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tickets-depth must lie in 1..{n} (--n), not {depth}\n"
+
+
+def test_cli_enumerate_ticket_excludes_tickets_depth(capsys):
+    from kssearch.cli import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["enumerate", "--n", "5", "--ticket", "3:6", "--tickets-depth", "3"])
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --tickets-depth: not allowed with argument --ticket" in captured.err
 
 
 def test_cli_enumerate_rejects_unreachable_ticket():
@@ -676,6 +713,32 @@ def test_cli_embed_interval_exit_codes(tmp_path):
         assert not path.exists()
 
 
+def test_cli_embed_interval_rechecks_refutations_exactly(tmp_path, monkeypatch, capsys):
+    from kssearch import embedding
+    from kssearch.cli import EXIT_OK, EXIT_VERIFICATION, main
+
+    c4 = tmp_path / "c4.g6"
+    c4.write_text("Cl\n")
+    argv = ["embed-interval", "--budget", "100000", "--in", str(c4)]
+    recheck = embedding.recheck_refutation_exact
+    kinds = []
+
+    def spy(cs, refutation):
+        kinds.append(refutation.kind)
+        return recheck(cs, refutation)
+
+    monkeypatch.setattr(embedding, "recheck_refutation_exact", spy)
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"] == "unembeddable"
+    assert kinds
+    # a refutation that fails its exact re-check is no verdict
+    monkeypatch.setattr(embedding, "recheck_refutation_exact", lambda cs, refutation: False)
+    assert main(argv) == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: verification failed: exact shadow check failed")
+
+
 def test_cli_embed_interval_reports_every_input_in_order():
     c4, g10 = "Cl", "I{O_ogI@W"
     r = cli("embed-interval", "--budget", "50", input=f"{c4}\n{g10}\n")
@@ -724,8 +787,10 @@ def test_cli_embed_interval_rejects_malformed_graph6(line, message):
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["--n", "x"], "invalid literal"),
-        (["--n", "1..2..3"], "too many values"),
+        (["--n", "x"], "--n must be N or A..B, not 'x'"),
+        (["--n", "1..2..3"], "--n must be N or A..B, not '1..2..3'"),
+        (["--n", "3.."], "--n must be N or A..B, not '3..'"),
+        (["--grid-n", "2,x"], "--grid-n must be comma-separated integers, not '2,x'"),
         (["--n", "5..3"], "n range"),
         (["--grid-n", "0"], "grid ladder"),
         (["--workers", "0"], "workers"),
