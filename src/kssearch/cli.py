@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 budget-exhausted (some interval verdict inconclusive).  ``pipeline`` exits
 with 2 when any ticket failed (``tickets_failed`` in the summary is not
 empty); the summary is written all the same, and ``--resume`` runs the
-failed tickets again.  Any command exits with 2 when a certificate fails
-its re-check, such as ``embed-interval``'s exact one of each refutation.
+failed tickets again.  ``pipeline`` takes SIGTERM as Ctrl-C: the job
+stops with its workers, and ``--resume`` continues it.  Any command exits
+with 2 when a certificate fails its re-check, such as ``embed-interval``'s
+exact one of each refutation.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import signal
 import sys
 
-from .graphs import Graph6Error, graph6_decode, graph6_encode
+from .graphs import ENUM_MAX_VERTICES, Graph6Error, graph6_decode, graph6_encode
 from .orderly import SubtreeTicket, enumerate_graphs, list_tickets
 from .colouring import export_dimacs_101, solve_101, witness_to_json
-from .grids import get_grid, grid_embed
+from .grids import MAX_GRID_N, get_grid, grid_embed
 from .constraints import DEFAULT_DELTA
 from .embedding import (
     DEFAULT_BUDGET,
@@ -160,6 +163,8 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
     cmd = args.command
 
     if cmd == "enumerate":
+        if not 1 <= args.n <= ENUM_MAX_VERTICES:
+            raise ValueError(f"--n must lie in 1..{ENUM_MAX_VERTICES}, not {args.n}")
         depth = args.tickets_depth
         if depth is not None and not 1 <= depth <= args.n:
             raise ValueError(f"--tickets-depth must lie in 1..{args.n} (--n), not {depth}")
@@ -184,6 +189,8 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
         return EXIT_OK
 
     if cmd == "embed-grid":
+        if not 1 <= args.grid_n <= MAX_GRID_N:
+            raise ValueError(f"--grid-n must lie in 1..{MAX_GRID_N}, not {args.grid_n}")
         out = _out_stream(args, stack)
         sys_ = get_grid(args.grid_n)
         for g in _input_graphs(args, stack):
@@ -226,7 +233,12 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
         if not args.resume and os.path.exists(os.path.join(args.out, "spec.json")):
             sys.stderr.write("error: job state exists; pass --resume to continue it\n")
             return EXIT_USAGE
-        summary = run_search(spec)
+        # SIGTERM stops a job as Ctrl-C does, so that run_search ends its workers
+        term = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            summary = run_search(spec)
+        finally:
+            signal.signal(signal.SIGTERM, term)
         sys.stderr.write(json.dumps(summary, indent=1) + "\n")
         return EXIT_VERIFICATION if summary["tickets_failed"] else EXIT_OK
 

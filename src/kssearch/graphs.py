@@ -154,16 +154,6 @@ def code_to_hex(code: str) -> str:
     return format(int(code, 2), f"0{width}x")
 
 
-def code_from_hex(n: int, hexstr: str) -> str:
-    length = n * (n - 1) // 2
-    if length == 0:
-        return ""
-    value = int(hexstr, 16)
-    if value >> length:
-        raise ValueError("hex value too large for code length")
-    return format(value, f"0{length}b")
-
-
 # ---------------------------------------------------------------------------
 # Predicates
 

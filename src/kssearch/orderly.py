@@ -24,7 +24,6 @@ from typing import Iterator
 from .graphs import (
     ENUM_MAX_VERTICES,
     Graph,
-    code_from_hex,
     code_to_hex,
     encode_upper_triangle,
     graph_from_code,
@@ -552,9 +551,22 @@ class SubtreeTicket:
 
     @staticmethod
     def from_id(text: str) -> "SubtreeTicket":
+        """The ticket whose id is ``text``, ``N:HEX``; ValueError quoting it
+        unless N lies in 1..ENUM_MAX_VERTICES and HEX is a code of at most
+        N(N-1)/2 bits."""
         head, _, hexpart = text.partition(":")
-        n = int(head)
-        return SubtreeTicket(graph_from_code(n, code_from_hex(n, hexpart)))
+        try:
+            n, value = int(head), int(hexpart, 16)
+        except ValueError:
+            n = value = -1
+        length = n * (n - 1) // 2
+        if not (1 <= n <= ENUM_MAX_VERTICES and 0 <= value < 1 << length):
+            raise ValueError(
+                f"ticket {text!r} is not N:HEX, a size N in 1..{ENUM_MAX_VERTICES} "
+                "and a hex code of at most N(N-1)/2 bits"
+            )
+        code = format(value, f"0{length}b") if length else ""
+        return SubtreeTicket(graph_from_code(n, code))
 
 
 def list_tickets(depth: int) -> list[SubtreeTicket]:

@@ -171,15 +171,19 @@ def _process_ticket(args) -> None:
         write_synced(shard, lines[n])
 
 
-def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
+def run_search(spec: JobSpec) -> dict:
     """Execute (or resume) a job; returns the summary dict.
 
     One task walks one ticket's subtree for every size it covers whose shard
-    is missing.  ``max_tickets`` stops after that many tasks (used to
-    exercise resume).  A task that raises is listed in ``tickets_failed`` as
-    ``n=…, ticket=…: <Type>: <message>``, its sizes given as ``n=8`` or
-    lowest to highest as ``n=8..10``; the other tasks run, the summary is
-    written with ``complete`` false, and a resume runs it again.
+    is missing.  A job stops early only by being killed: the shards already
+    written stay, that run writes no catalog or summary, and a resume runs
+    exactly the walks whose shards are missing.  When an exception such as
+    KeyboardInterrupt stops a job with workers, its workers are killed,
+    since the pool would otherwise run every walk left before it returns.  A task that raises is
+    listed in ``tickets_failed`` as ``n=…, ticket=…: <Type>: <message>``,
+    its sizes given as ``n=8`` or lowest to highest as ``n=8..10``; the
+    other tasks run, the summary is written with ``complete`` false, and a
+    resume runs it again.
     """
     spec.validate()
     shard_dir = os.path.join(spec.out_dir, "shards")
@@ -212,9 +216,6 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
         if shards:
             tasks.append((spec, shards, ticket_id))
 
-    if max_tickets is not None:
-        tasks = tasks[:max_tickets]
-
     processed = 0
     failed: list[str] = []
 
@@ -232,10 +233,17 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
 
     if spec.workers > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import active_children
 
+        others = set(active_children())
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for task, fut in [(t, pool.submit(_process_ticket, t)) for t in tasks]:
-                attempt(task, fut.result)
+            try:
+                for task, fut in [(t, pool.submit(_process_ticket, t)) for t in tasks]:
+                    attempt(task, fut.result)
+            except BaseException:  # stopped: the walks left must not outlive the job
+                for worker in set(active_children()) - others:
+                    worker.kill()
+                raise
     else:
         for task in tasks:
             attempt(task, lambda: _process_ticket(task))
@@ -266,7 +274,7 @@ def run_search(spec: JobSpec, max_tickets: int | None = None) -> dict:
         "per_n": {str(k): v for k, v in sorted(per_n.items())},
         "uncolourable_survivors": survivors,
         "conjecture_probe_log": conjecture_probe,
-        "complete": max_tickets is None and not failed,
+        "complete": not failed,
     }
     write_synced(
         os.path.join(spec.out_dir, "summary.json"), [json.dumps(summary, sort_keys=True, indent=1)]

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing PASS/FAIL.
 
 Desk-scale prefixes of the full results; the extended non-gating jobs
-(n = 13..17 frontier, n = 10 unembeddable sweep) live in scripts/.
+(the n = 13..17 frontier as ``kssearch pipeline`` jobs, the n = 10
+unembeddable sweep in scripts/) are described in README.
 """
 
 import math

@@ -10,6 +10,9 @@ loads only the modules it uses.
 numpy and the process pool are imported by the functions that use them,
 so enumeration, colouring, a search over 101-colourable graphs and
 ``report`` run without loading either.
+
+Every script under ``scripts/`` loads: its imports of kssearch names
+resolve.
 """
 
 import ast
@@ -18,6 +21,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kssearch"
+SCRIPTS = SRC.parents[1] / "scripts"
 
 # (module, name) pairs that stay imported without being read, with the reason
 ALLOWED = {
@@ -88,3 +92,17 @@ def test_numpy_and_process_pool_load_on_first_use(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_script_loads():
+    """Each script runs in a fresh interpreter under a module name other
+    than ``"__main__"``: its imports run and its job does not, so a script
+    that imports a deleted or renamed kssearch name fails here."""
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert scripts
+    for path in scripts:
+        code = f"import runpy; runpy.run_path({str(path)!r}, run_name='loaded')"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, (path.name, proc.stderr)

@@ -3,9 +3,12 @@
 import gc
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -203,17 +206,45 @@ def test_run_search_deterministic_catalog(tmp_path):
     assert c1 == c2
 
 
-def test_resume_after_interruption(tmp_path):
+def failing_on_calls(real, failures):
+    """_process_ticket raising failures[k] on its k-th call."""
+    calls = {"n": 0}
+
+    def flaky(args):
+        calls["n"] += 1
+        if calls["n"] in failures:
+            raise failures[calls["n"]]
+        return real(args)
+
+    return flaky
+
+
+def interrupt_on_call(monkeypatch, spec, k):
+    """Run ``spec`` as if Ctrl-C hit it in its k-th walk: the
+    KeyboardInterrupt escapes run_search and leaves ``spec.json`` and the
+    shards of the k - 1 walks before it, with no catalog and no summary.
+    Returns the names of those shards."""
+    real = pipeline._process_ticket
+    interrupted = failing_on_calls(real, {k: KeyboardInterrupt()})
+    monkeypatch.setattr(pipeline, "_process_ticket", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_search(spec)
+    monkeypatch.setattr(pipeline, "_process_ticket", real)
+    assert sorted(os.listdir(spec.out_dir)) == ["shards", "spec.json"]
+    return sorted(os.listdir(os.path.join(spec.out_dir, "shards")))
+
+
+def test_resume_after_interruption(tmp_path, monkeypatch):
     full = spec_for(tmp_path / "full", 8, ticket_depth=4)
     run_search(full)
     part = spec_for(tmp_path / "part", 8, ticket_depth=4)
-    partial = run_search(part, max_tickets=3)
-    assert not partial["complete"]
+    # the root covers n = 1..4, each of the 3 tickets at depth 4 n = 5..8
+    assert len(interrupt_on_call(monkeypatch, part, 4)) == 4 + 2 * 4
     # a crashed shard write leaves only a .tmp file; it must be ignored
     stale = os.path.join(part.out_dir, "shards", "9_bogus.jsonl.tmp")
     open(stale, "w").write('{"junk": true}\n')
     resumed = run_search(part)
-    assert resumed["complete"]
+    assert resumed["tickets_processed"] == 1 and resumed["complete"]
     c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(part.out_dir, "catalog.jsonl"), "rb").read()
     assert c1 == c2
@@ -307,7 +338,7 @@ def test_resume_through_another_path_with_another_worker_count(tmp_path, monkeyp
     full = spec_for(tmp_path / "full", 8, ticket_depth=4)
     run_search(full)
     part = spec_for(tmp_path / "part", 8, ticket_depth=4)
-    assert not run_search(part, max_tickets=3)["complete"]
+    assert len(interrupt_on_call(monkeypatch, part, 4)) == 12
     stored = open(os.path.join(part.out_dir, "spec.json")).read()
     os.rename(part.out_dir, tmp_path / "moved")
     monkeypatch.chdir(tmp_path)
@@ -332,7 +363,7 @@ def test_spec_json_holds_the_job_spec_fields_only(tmp_path):
     assert JobSpec.from_json(json.dumps(data)) == spec
 
 
-def test_resume_accepts_a_spec_with_the_filter_keys_true(tmp_path, capsys):
+def test_resume_accepts_a_spec_with_the_filter_keys_true(tmp_path, capsys, monkeypatch):
     """A spec.json from before enumeration lost its square-free/connected
     filter knob holds both keys; set to true, they are the only class."""
     from kssearch.cli import EXIT_USAGE, main
@@ -340,7 +371,7 @@ def test_resume_accepts_a_spec_with_the_filter_keys_true(tmp_path, capsys):
     clean = spec_for(tmp_path / "clean", 8, ticket_depth=4)
     run_search(clean)
     spec = spec_for(tmp_path / "j", 8, ticket_depth=4)
-    run_search(spec, max_tickets=3)
+    interrupt_on_call(monkeypatch, spec, 4)
     path = os.path.join(spec.out_dir, "spec.json")
     data = json.loads(open(path).read())
     data.update(square_free=True, connected=True)
@@ -513,19 +544,6 @@ FAILURES = {
 }
 
 
-def failing_on_calls(real, failures):
-    """_process_ticket raising failures[k] on its k-th call."""
-    calls = {"n": 0}
-
-    def flaky(args):
-        calls["n"] += 1
-        if calls["n"] in failures:
-            raise failures[calls["n"]]
-        return real(args)
-
-    return flaky
-
-
 def test_ticket_failure_isolated(tmp_path, monkeypatch):
     import kssearch.pipeline as pl
 
@@ -585,6 +603,53 @@ def test_dead_worker_fails_its_tickets(tmp_path, monkeypatch):
     c1 = open(os.path.join(spec.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(clean.out_dir, "catalog.jsonl"), "rb").read()
     assert c1 == c2
+
+
+def sleeping_in_tickets(args):
+    """_process_ticket that walks the root but sleeps through each ticket."""
+    if args[2]:
+        time.sleep(30)
+    return process_ticket(args)
+
+
+@pytest.mark.parametrize("stop", ["KeyboardInterrupt", "SIGTERM"])
+def test_a_stopped_job_kills_its_workers(tmp_path, monkeypatch, stop):
+    """Ctrl-C, or a SIGTERM to ``kssearch pipeline``, stops a job with
+    workers at once: the workers are killed, not left to run the walks
+    still queued or, orphaned, to outlive the job."""
+    from kssearch.cli import main
+
+    spec = spec_for(tmp_path / "j", 8, ticket_depth=4, workers=2)
+    argv = ["pipeline", "--n", "1..8", "--tickets-depth", "4", "--workers", "2"]
+    argv += ["--out", spec.out_dir]
+    monkeypatch.setattr(pipeline, "_process_ticket", sleeping_in_tickets)
+
+    def fire(*_):
+        if stop == "SIGTERM":
+            os.kill(os.getpid(), signal.SIGTERM)
+        else:
+            raise KeyboardInterrupt
+
+    def unhandled(*_):  # fails the test rather than ending the test run
+        raise AssertionError("the SIGTERM reached the test, not the job")
+
+    term = signal.signal(signal.SIGTERM, unhandled)
+    alarm = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv) if stop == "SIGTERM" else run_search(spec)
+        assert signal.getsignal(signal.SIGTERM) is unhandled  # main restores the handler
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, alarm)
+        signal.signal(signal.SIGTERM, term)
+    assert time.monotonic() - start < 10  # the 3 ticket walks would sleep 2 x 30 s
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir(spec.out_dir)) == ["shards", "spec.json"]
+    shards = sorted(os.listdir(os.path.join(spec.out_dir, "shards")))
+    assert shards == [f"{n}_root.jsonl" for n in range(1, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +725,38 @@ def test_cli_enumerate_rejects_unreachable_ticket():
     assert r.returncode == 1 and r.stdout == ""
     r = cli("enumerate", "--n", "5", "--ticket", "3:6")
     assert r.returncode == 0 and len(r.stdout.splitlines()) == 4
+
+
+@pytest.mark.parametrize("ticket", ["4:x", "abc", "4:", "3:ff"])
+def test_cli_enumerate_rejects_a_malformed_ticket(capsys, ticket):
+    from kssearch.cli import EXIT_USAGE, main
+
+    # 3:ff is well formed but too wide: a 3-vertex code has 3 bits
+    assert main(["enumerate", "--n", "3", "--ticket", ticket]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ticket {ticket!r} is not N:HEX, a size N in 1..64 "
+        "and a hex code of at most N(N-1)/2 bits\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--n", "0"], "--n must lie in 1..64, not 0"),
+        (["enumerate", "--n", "65"], "--n must lie in 1..64, not 65"),
+        (["embed-grid", "--grid-n", "0"], "--grid-n must lie in 1..32, not 0"),
+        (["embed-grid", "--grid-n", "40"], "--grid-n must lie in 1..32, not 40"),
+    ],
+)
+def test_cli_rejects_a_size_outside_its_range(capsys, argv, message):
+    from kssearch.cli import EXIT_USAGE, main
+
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_colour_and_exports():
@@ -817,7 +914,7 @@ def test_cli_verify_known_failure_exit_code(monkeypatch):
     assert r.returncode == 1  # usage: unknown choice
 
 
-def test_cli_pipeline_and_report(tmp_path):
+def test_cli_pipeline_and_report(tmp_path, monkeypatch):
     out = str(tmp_path / "job")
     r = cli("pipeline", "--n", "1..5", "--out", out)
     assert r.returncode == 0
@@ -825,9 +922,7 @@ def test_cli_pipeline_and_report(tmp_path):
     assert r.returncode == 1  # refuses to clobber without --resume
     # a job stopped before any ticket finished holds only spec.json: still a job
     started = str(tmp_path / "started")
-    run_search(JobSpec(n_min=1, n_max=5, out_dir=started), max_tickets=0)
-    os.remove(os.path.join(started, "catalog.jsonl"))
-    os.remove(os.path.join(started, "summary.json"))
+    assert interrupt_on_call(monkeypatch, JobSpec(n_min=1, n_max=5, out_dir=started), 1) == []
     r = cli("pipeline", "--n", "1..5", "--out", started)
     assert r.returncode == 1 and "--resume" in r.stderr
     r = cli("pipeline", "--n", "1..5", "--out", out, "--resume")
