@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 with 2 when any ticket failed (``tickets_failed`` in the summary is not
 empty); the summary is written all the same, and ``--resume`` runs the
 failed tickets again.  ``pipeline`` takes SIGTERM as Ctrl-C: the job
-stops with its workers, and ``--resume`` continues it.  Any command exits
+stops with its workers, writes one line naming its output directory, and
+exits with 130 on Ctrl-C (SIGINT) and 143 on SIGTERM, 128 plus the signal's
+number; ``--resume`` continues it.  Any command exits
 with 2 when a certificate fails its re-check, such as ``embed-interval``'s
 exact one of each refutation.
 """
@@ -234,9 +236,19 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
             sys.stderr.write("error: job state exists; pass --resume to continue it\n")
             return EXIT_USAGE
         # SIGTERM stops a job as Ctrl-C does, so that run_search ends its workers
-        term = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        stopped_by = signal.SIGINT
+
+        def terminate(signum, frame):
+            nonlocal stopped_by
+            stopped_by = signum
+            raise KeyboardInterrupt
+
+        term = signal.signal(signal.SIGTERM, terminate)
         try:
             summary = run_search(spec)
+        except KeyboardInterrupt:
+            sys.stderr.write(f"stopped: rerun with --resume to continue the job in {args.out}\n")
+            return 128 + stopped_by
         finally:
             signal.signal(signal.SIGTERM, term)
         sys.stderr.write(json.dumps(summary, indent=1) + "\n")

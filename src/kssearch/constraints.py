@@ -22,11 +22,7 @@ from .graphs import Graph, triangles
 from .intervals import (
     IntervalBox,
     QInterval,
-    hull_of_cuts,
-    isqrt_nonneg,
-    mul,
     narrow_by_div,
-    sqr,
     _up,
 )
 
@@ -165,19 +161,29 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
     narrowed in place.  Each step performs the float operations of the
     interval-object oracle in ``tests/test_interval_kernels.py``, in the same
     order: a sum of products starts from 0.0 as the oracle's
-    ``ZERO + p0 + p1 + p2`` does, products and squares go through
-    :func:`mul` and :func:`sqr`, and intersections keep ``max``/``min``'s
-    argument order, so signed zeros come out the same.  The outward rounding
-    of sums is ``nextafter`` written out.  It equals the guarded
-    ``_dn``/``_up`` except at an infinity, which sums over the solver's boxes
-    (endpoints in [-1, 1]) never reach; the divisions, which can overflow,
-    round inside :func:`narrow_by_div`.  A separation pair whose dot product
-    already lies in the band skips its narrowings, which would return the
-    box's own endpoints.
+    ``ZERO + p0 + p1 + p2`` does, and intersections and hulls keep
+    ``max``/``min``'s argument order, so signed zeros come out the same.
+    Products, squares, square roots, the quotient by a denominator that
+    excludes zero and the intersections are :func:`mul`, :func:`sqr`,
+    ``extended_div`` and ``hull_of_cuts`` written out in the loop; a
+    denominator that contains zero goes through :func:`narrow_by_div`.  The
+    outward rounding of sums, products, squares and roots is ``nextafter``
+    written out.  It equals the guarded ``_dn``/``_up`` except at an
+    infinity, which these values over the solver's boxes (endpoints in
+    [-1, 1]) never reach; a quotient can overflow, so its rounding keeps the
+    guard.
+
+    Two kinds of step are skipped, each because it would return the box's
+    own endpoints, signed zeros included: the narrowings of a separation
+    pair whose dot product already lies in the band, and a division whose
+    target and denominator both contain zero, which has the whole line as
+    quotient.  A product is recomputed only after one of its factors was
+    assigned.
     """
     lo = list(box.lo)
     hi = list(box.hi)
     nx = math.nextafter
+    sqrt = math.sqrt
     inf = math.inf
     ninf = -inf
 
@@ -194,34 +200,77 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
         for s, t in pairs:
             for c in (0, 1, 2):
                 i, j = 3 * s + c, 3 * t + c
-                pl[c], ph[c] = mul(lo[i], hi[i], lo[j], hi[j])
+                a, b, d, e = lo[i], hi[i], lo[j], hi[j]
+                p0, p1, p2, p3 = a * d, a * e, b * d, b * e
+                ml = p1 if p1 < p0 else p0
+                ml = p2 if p2 < ml else ml
+                ml = p3 if p3 < ml else ml
+                mh = p1 if p1 > p0 else p0
+                mh = p2 if p2 > mh else mh
+                mh = p3 if p3 > mh else mh
+                pl[c], ph[c] = nx(ml, ninf), nx(mh, inf)
             fl = nx(nx(nx(0.0 + pl[0], ninf) + pl[1], ninf) + pl[2], ninf)
             fh = nx(nx(nx(0.0 + ph[0], inf) + ph[1], inf) + ph[2], inf)
-            if not (fl <= 0.0 <= fh if band is None else hull_of_cuts(fl, fh, (band,))):
-                fail(kind, (s, t))
-            if band is not None and blo <= fl and fh <= bhi:
-                # the sum lies in the band, so each product's target below
-                # holds every product over the box: no narrowing can cut
-                continue
+            if band is None:
+                if not fl <= 0.0 <= fh:
+                    fail(kind, (s, t))
+            else:
+                if not (blo if blo > fl else fl) <= (bhi if bhi < fh else fh):
+                    fail(kind, (s, t))
+                if blo <= fl and fh <= bhi:
+                    # the sum lies in the band, so each product's target below
+                    # holds every product over the box: no narrowing can cut
+                    continue
             for c in (0, 1, 2):
                 i, j = 3 * s + c, 3 * t + c
-                a, b = _OTHERS[c]
-                rl = nx(nx(0.0 + pl[a], ninf) + pl[b], ninf)
-                rh = nx(nx(0.0 + ph[a], inf) + ph[b], inf)
+                x, y = _OTHERS[c]
+                rl = nx(nx(0.0 + pl[x], ninf) + pl[y], ninf)
+                rh = nx(nx(0.0 + ph[x], inf) + ph[y], inf)
                 if band is None:
                     # negation is exact; ZERO - rest would round one ulp outward
                     tl, th = -rh, -rl
                 else:
                     tl, th = nx(blo - rh, ninf), nx(bhi - rl, inf)
-                cut = narrow_by_div(lo[i], hi[i], tl, th, lo[j], hi[j])
-                if cut is None:
-                    fail(kind, (s, t))
-                lo[i], hi[i] = cut
-                cut = narrow_by_div(lo[j], hi[j], tl, th, lo[i], hi[i])
-                if cut is None:
-                    fail(kind, (s, t))
-                lo[j], hi[j] = cut
-                pl[c], ph[c] = mul(lo[i], hi[i], lo[j], hi[j])
+                spans_zero = tl <= 0.0 <= th
+                assigned = False
+                # u_c in target / v_c, then v_c in target / u_c
+                for k, m in ((i, j), (j, i)):
+                    d, e = lo[m], hi[m]
+                    if d > 0.0 or e < 0.0:
+                        q0, q1, q2, q3 = tl / d, tl / e, th / d, th / e
+                        ql = q1 if q1 < q0 else q0
+                        ql = q2 if q2 < ql else ql
+                        ql = q3 if q3 < ql else ql
+                        qh = q1 if q1 > q0 else q0
+                        qh = q2 if q2 > qh else qh
+                        qh = q3 if q3 > qh else qh
+                        if ql != inf:
+                            ql = nx(ql, ninf)
+                        if qh != ninf:
+                            qh = nx(qh, inf)
+                        a, b = lo[k], hi[k]
+                        a = ql if ql > a else a
+                        b = qh if qh < b else b
+                        if not a <= b:
+                            fail(kind, (s, t))
+                        lo[k], hi[k] = a, b
+                        assigned = True
+                    elif not spans_zero:
+                        cut = narrow_by_div(lo[k], hi[k], tl, th, d, e)
+                        if cut is None:
+                            fail(kind, (s, t))
+                        lo[k], hi[k] = cut
+                        assigned = True
+                if assigned:
+                    a, b, d, e = lo[i], hi[i], lo[j], hi[j]
+                    p0, p1, p2, p3 = a * d, a * e, b * d, b * e
+                    ml = p1 if p1 < p0 else p0
+                    ml = p2 if p2 < ml else ml
+                    ml = p3 if p3 < ml else ml
+                    mh = p1 if p1 > p0 else p0
+                    mh = p2 if p2 > mh else mh
+                    mh = p3 if p3 > mh else mh
+                    pl[c], ph[c] = nx(ml, ninf), nx(mh, inf)
 
     # coordinate-zero equations (edges into pinned axes)
     for s, c in cs.coord_zero:
@@ -231,42 +280,72 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
         lo[i] = hi[i] = 0.0
 
     # unit norms: each coordinate's square lies in 1 minus the other two
+    sl = [0.0, 0.0, 0.0]
+    sh = [0.0, 0.0, 0.0]
     for s in range(len(cs.free)):
         base = 3 * s
-        sq = [sqr(lo[i], hi[i]) for i in (base, base + 1, base + 2)]
-        tl = nx(nx(sq[0][0] + sq[1][0], ninf) + sq[2][0], ninf)
-        th = nx(nx(sq[0][1] + sq[1][1], inf) + sq[2][1], inf)
+        for c in (0, 1, 2):
+            a, b = lo[base + c], hi[base + c]
+            if a >= 0:
+                sl[c], sh[c] = nx(a * a, ninf), nx(b * b, inf)
+            elif b <= 0:
+                sl[c], sh[c] = nx(b * b, ninf), nx(a * a, inf)
+            else:
+                a, b = a * a, b * b
+                sl[c], sh[c] = 0.0, nx(b if b > a else a, inf)
+        tl = nx(nx(sl[0] + sl[1], ninf) + sl[2], ninf)
+        th = nx(nx(sh[0] + sh[1], inf) + sh[2], inf)
         if not nx(tl - 1.0, ninf) <= 0.0 <= nx(th - 1.0, inf):
             fail("norm", (s,))
         for c in (0, 1, 2):
-            ql, qh = sq[(c + 1) % 3]
-            rl, rh = sq[(c + 2) % 3]
-            # 1 - q - r, then x ∩ ±sqrt of it, hulled over the two signs
-            root = isqrt_nonneg(
-                nx(nx(1.0 - qh, ninf) - rh, ninf), nx(nx(1.0 - ql, inf) - rl, inf)
-            )
-            cut = None
-            if root is not None:
-                m = 0.0 if 0.0 > root[0] else root[0]
-                cut = hull_of_cuts(lo[base + c], hi[base + c], ((-root[1], -m), (m, root[1])))
-            if cut is None:
+            q, r = (c + 1) % 3, (c + 2) % 3
+            # 1 - q - r, then x ∩ ±sqrt of it: the cut [nl, nh] by the
+            # negative root and [pl, ph] by the positive one, hulled
+            rl = nx(nx(1.0 - sh[q], ninf) - sh[r], ninf)
+            rh = nx(nx(1.0 - sl[q], inf) - sl[r], inf)
+            if rh < 0:
                 fail("norm", (s,))
-            lo[base + c], hi[base + c] = cut
-            sq[c] = sqr(lo[base + c], hi[base + c])
+            rl = 0.0 if 0.0 > rl else rl
+            rl, rh = nx(sqrt(rl), ninf), nx(sqrt(rh), inf)
+            m = 0.0 if 0.0 > rl else rl
+            a, b = lo[base + c], hi[base + c]
+            nl, nh = -rh, -m
+            nl = nl if nl > a else a
+            nh = nh if nh < b else b
+            pl = m if m > a else a
+            ph = rh if rh < b else b
+            if nl <= nh:
+                if pl <= ph:
+                    nl = pl if pl < nl else nl
+                    nh = ph if ph > nh else nh
+                a, b = nl, nh
+            elif pl <= ph:
+                a, b = pl, ph
+            else:
+                fail("norm", (s,))
+            lo[base + c], hi[base + c] = a, b
+            if a >= 0:
+                sl[c], sh[c] = nx(a * a, ninf), nx(b * b, inf)
+            elif b <= 0:
+                sl[c], sh[c] = nx(b * b, ninf), nx(a * a, inf)
+            else:
+                a, b = a * a, b * b
+                sl[c], sh[c] = 0.0, nx(b if b > a else a, inf)
 
     # dot products on edges between free vertices
     narrow_pairs(cs.dot_pairs, None, "edge-dot")
 
     # separation inequalities
     bound = cs.sep_bound
-    band = (-bound, bound)
     for s, c in cs.sep_coords:
         i = 3 * s + c
-        cut = hull_of_cuts(lo[i], hi[i], (band,))
-        if cut is None:
+        a, b = lo[i], hi[i]
+        a = -bound if -bound > a else a
+        b = bound if bound < b else b
+        if not a <= b:
             fail("separation-axis", (s, c))
-        lo[i], hi[i] = cut
-    narrow_pairs(cs.sep_pairs, band, "separation")
+        lo[i], hi[i] = a, b
+    narrow_pairs(cs.sep_pairs, (-bound, bound), "separation")
 
     return IntervalBox(tuple(lo), tuple(hi))
 
@@ -280,24 +359,26 @@ def recheck_refutation_exact(cs: ConstraintSystem, ref: Refutation) -> bool:
 
     The snapshot endpoints are floats, hence exactly representable as
     rationals; a True result upgrades the outward-rounded float refutation to
-    an exact one.
+    an exact one.  Only the variables the constraint reads are converted.
     """
-    box = ref.snapshot
-    q = [QInterval(Fraction(a), Fraction(b)) for a, b in zip(box.lo, box.hi)]
+    lo, hi = ref.snapshot.lo, ref.snapshot.hi
+
+    def q(i: int) -> QInterval:
+        return QInterval(Fraction(lo[i]), Fraction(hi[i]))
 
     def qdot(s: int, t: int) -> QInterval:
         total = QInterval(Fraction(0), Fraction(0))
         for c in range(3):
-            total = total + q[3 * s + c] * q[3 * t + c]
+            total = total + q(3 * s + c) * q(3 * t + c)
         return total
 
     if ref.kind == "norm":
         (s,) = ref.detail
-        total = q[3 * s].sqr() + q[3 * s + 1].sqr() + q[3 * s + 2].sqr()
+        total = q(3 * s).sqr() + q(3 * s + 1).sqr() + q(3 * s + 2).sqr()
         return not (total - QInterval(Fraction(1), Fraction(1))).contains_zero()
     if ref.kind == "coord-zero":
         s, c = ref.detail
-        return not q[3 * s + c].contains_zero()
+        return not q(3 * s + c).contains_zero()
     if ref.kind == "edge-dot":
         s, t = ref.detail
         return not qdot(s, t).contains_zero()
@@ -306,7 +387,7 @@ def recheck_refutation_exact(cs: ConstraintSystem, ref: Refutation) -> bool:
         dsq = Fraction(cs.delta) * Fraction(cs.delta)
         if ref.kind == "separation-axis":
             s, c = ref.detail
-            val = q[3 * s + c].sqr()
+            val = q(3 * s + c).sqr()
         else:
             s, t = ref.detail
             val = qdot(s, t).sqr()

@@ -66,14 +66,6 @@ def sqr(a: float, b: float) -> tuple[float, float]:
     return 0.0, _up(b if b > a else a)
 
 
-def isqrt_nonneg(lo: float, hi: float) -> tuple[float, float] | None:
-    """Enclosure of sqrt over [lo, hi] ∩ [0, ∞); None when hi < 0."""
-    if hi < 0:
-        return None
-    lo = 0.0 if 0.0 > lo else lo
-    return _dn(math.sqrt(lo)), _up(math.sqrt(hi))
-
-
 def extended_div(a: float, b: float, c: float, d: float) -> list[tuple[float, float]]:
     """[a, b] / [c, d] as 0, 1 or 2 intervals (splitting around a zero of den).
 

@@ -171,6 +171,27 @@ def _process_ticket(args) -> None:
         write_synced(shard, lines[n])
 
 
+def _end_with_job(job: int) -> None:
+    """Pool initializer: a daemon thread ends this worker once its parent is
+    no longer ``job``, the job's process id, so that a job killed without
+    clean-up (SIGKILL, the OOM killer) leaves no worker running.  A worker
+    ended mid-write leaves only its shard's ``.tmp`` file, which no rename
+    makes a shard.  Ctrl-C at a terminal reaches every process of the
+    group; the workers ignore it, and the job kills them itself."""
+    import signal
+    import threading
+    import time
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == job:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_search(spec: JobSpec) -> dict:
     """Execute (or resume) a job; returns the summary dict.
 
@@ -179,7 +200,8 @@ def run_search(spec: JobSpec) -> dict:
     written stay, that run writes no catalog or summary, and a resume runs
     exactly the walks whose shards are missing.  When an exception such as
     KeyboardInterrupt stops a job with workers, its workers are killed,
-    since the pool would otherwise run every walk left before it returns.  A task that raises is
+    since the pool would otherwise run every walk left before it returns;
+    a worker whose job was killed outright ends itself.  A task that raises is
     listed in ``tickets_failed`` as ``n=…, ticket=…: <Type>: <message>``,
     its sizes given as ``n=8`` or lowest to highest as ``n=8..10``; the
     other tasks run, the summary is written with ``complete`` false, and a
@@ -236,7 +258,9 @@ def run_search(spec: JobSpec) -> dict:
         from multiprocessing import active_children
 
         others = set(active_children())
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=spec.workers, initializer=_end_with_job, initargs=(os.getpid(),)
+        ) as pool:
             try:
                 for task, fut in [(t, pool.submit(_process_ticket, t)) for t in tasks]:
                     attempt(task, fut.result)

@@ -6,26 +6,33 @@ earlier implementation on ``Interval`` objects, kept only as the oracle: it
 turns each box into ``Interval`` objects itself, and the kernels must
 reproduce it bit for bit (``float.hex``), refutation kind, detail and
 snapshot included, on random sub-boxes of the constraint systems' initial
-boxes.  The oracle's ``Interval`` and its outward rounding are defined here,
-so it shares no arithmetic with the kernels it checks.  The float residuals
-and Jacobian of the Newton step are checked the same way against the two
-separate functions they replaced.
+boxes and on fixed boxes that reach the sweep's rarer branches.  The
+oracle's ``Interval`` and its outward rounding are defined here, so it
+shares no arithmetic with the kernels it checks.  The float residuals and
+Jacobian of the Newton step are checked the same way against the two
+separate functions they replaced, and the exact re-check of a refutation
+against the earlier one, which converted the whole snapshot box.
 """
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from kssearch import embedding
 from kssearch.constraints import (
     EmptyBox,
     Refutation,
     build_constraint_system,
     contract_explain,
+    recheck_refutation_exact,
 )
 from kssearch.embedding import (
+    decide_embeddability,
     _equations,
     _float_system,
     _krawczyk_image,
@@ -33,16 +40,16 @@ from kssearch.embedding import (
     check_distinctness,
     choose_slices,
 )
-from kssearch.graphs import Graph, graph6_decode
+from kssearch.graphs import Graph, graph6_decode, graph6_encode
 from kssearch.intervals import (
     IntervalBox,
+    QInterval,
     WidthUnderflow,
     _dn as kernel_dn,
     _up as kernel_up,
     bisect,
     extended_div,
     hull_of_cuts,
-    isqrt_nonneg,
     mul,
     narrow_by_div,
     sqr,
@@ -248,6 +255,39 @@ def ref_contract_explain(box, cs):
         return None, e.refutation
 
 
+def ref_recheck_refutation_exact(cs, ref: Refutation) -> bool:
+    """The exact re-check of a refutation over its whole snapshot box."""
+    box = ref.snapshot
+    q = [QInterval(Fraction(a), Fraction(b)) for a, b in zip(box.lo, box.hi)]
+
+    def qdot(s: int, t: int) -> QInterval:
+        total = QInterval(Fraction(0), Fraction(0))
+        for c in range(3):
+            total = total + q[3 * s + c] * q[3 * t + c]
+        return total
+
+    if ref.kind == "norm":
+        (s,) = ref.detail
+        total = q[3 * s].sqr() + q[3 * s + 1].sqr() + q[3 * s + 2].sqr()
+        return not (total - QInterval(Fraction(1), Fraction(1))).contains_zero()
+    if ref.kind == "coord-zero":
+        s, c = ref.detail
+        return not q[3 * s + c].contains_zero()
+    if ref.kind == "edge-dot":
+        s, t = ref.detail
+        return not qdot(s, t).contains_zero()
+    if ref.kind in ("separation", "separation-axis"):
+        dsq = Fraction(cs.delta) * Fraction(cs.delta)
+        if ref.kind == "separation-axis":
+            s, c = ref.detail
+            val = q[3 * s + c].sqr()
+        else:
+            s, t = ref.detail
+            val = qdot(s, t).sqr()
+        return val.lo > 1 - dsq
+    raise ValueError(f"unknown refutation kind {ref.kind!r}")
+
+
 def ref_residuals_at(cs, eqs, pt):
     out = []
     thin = [Interval.point(v) for v in pt]
@@ -395,7 +435,6 @@ def test_float_helpers_match_interval_oracle(v, num, den, ends):
     v_iv, num_iv, den_iv = Interval(*v), Interval(*num), Interval(*den)
     assert _same(mul(*num, *den), ref_mul(num_iv, den_iv))
     assert _same(sqr(*num), ref_sqr(num_iv))
-    assert _same(isqrt_nonneg(*num), ref_isqrt_nonneg(num_iv))
     got = extended_div(*num, *den)
     want = ref_extended_div(num_iv, den_iv)
     assert len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
@@ -482,6 +521,135 @@ def test_separation_pair_inside_band_matches_interval_oracle():
     # in the oracle, (0, 2) cuts nothing and (1, 2) cuts
     assert _hex(ref_contract_explain(box, replace(cs, sep_pairs=((1, 2),)))[0]) == _hex(want)
     assert _hex(ref_contract_explain(box, replace(cs, sep_pairs=((0, 2),)))[0]) != _hex(want)
+
+
+# ---------------------------------------------------------------------------
+# Fixed boxes for the sweep's division branches, which random sub-boxes
+# rarely reach.  A division by a denominator that excludes 0 is the sweep's
+# inlined quotient; one whose target and denominator both contain 0 has the
+# whole line as quotient and is skipped; any other goes through
+# narrow_by_div, which may split it in two.
+
+# K3 plus a disjoint edge: the triangle is pinned, and the edge is the one
+# edge-dot pair (0, 1), u = (x0, x1, x2) against v = (x3, x4, x5)
+TRIANGLE_AND_EDGE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+
+
+def oracle_divisions(box, cs):
+    """The oracle's contract_explain on ``box``, and its divisions in order,
+    each as (domain, target, denominator, cut)."""
+    divisions = []
+    divide = ref_narrow_by_div
+
+    def record(var, num, den):
+        cut = divide(var, num, den)
+        divisions.append((var, num, den, cut))
+        return cut
+
+    globals()["ref_narrow_by_div"] = record
+    try:
+        return ref_contract_explain(box, cs), divisions
+    finally:
+        globals()["ref_narrow_by_div"] = divide
+
+
+def branch(num: Interval, den: Interval) -> str:
+    """The sweep's branch for a division of ``num`` by ``den``."""
+    if den.lo > 0.0 or den.hi < 0.0:
+        return "quotient"
+    if num.contains_zero():
+        return "skipped"
+    return f"{len(ref_extended_div(num, den))}-piece fallback"
+
+
+def test_division_branches_match_interval_oracle():
+    """One sweep that skips a division, cuts with the inlined quotient and
+    cuts with a two-piece quotient."""
+    cs = build_constraint_system(TRIANGLE_AND_EDGE, 1e-4)
+    box = IntervalBox((-0.1, -0.1, 0.6, -0.4, -0.8, 0.7), (0.5, 0.9, 1.0, 0.4, 0.9, 0.8))
+    (want, _), divisions = oracle_divisions(box, cs)
+    assert want is not None
+    kinds = [branch(num, den) for _, num, den, _ in divisions]
+    cutting = {
+        branch(num, den) for var, num, den, cut in divisions if (cut.lo, cut.hi) != (var.lo, var.hi)
+    }
+    assert "skipped" in kinds
+    assert {"quotient", "2-piece fallback"} <= cutting
+    got, got_ref = contract_explain(box, cs)
+    assert got_ref is None
+    assert _hex(got) == _hex(want)
+
+
+# u = (1/2, sqrt(3)/2, 0) and v = (v0, -X, 1) with X = 3e-310 / (sqrt(3)/2):
+# u.v = v0/2 - 3e-310 misses 0 for v0 <= 5.9999999999994e-310 by a few
+# subnormal ulps, which the outward-rounded sum still covers.  The first
+# division, of u0 by v0, finds the empty cut.
+UV_NEAR_ORTHOGONAL = (0.5, 0.8660254037844386, 0.0, -3.46410161513773e-310, 1.0)
+
+
+@pytest.mark.parametrize("v0_lo, kind", [(1e-310, "quotient"), (-0.0, "1-piece fallback")])
+def test_empty_cut_matches_interval_oracle(v0_lo, kind):
+    """An empty cut refutes the box in each branch with the oracle's kind,
+    detail and snapshot; the exact re-check confirms it."""
+    cs = build_constraint_system(TRIANGLE_AND_EDGE, 1e-4)
+    u0, u1, u2, v1, v2 = UV_NEAR_ORTHOGONAL
+    box = IntervalBox((u0, u1, u2, v0_lo, v1, v2), (u0, u1, u2, 5.9999999999994e-310, v1, v2))
+    (want, want_ref), divisions = oracle_divisions(box, cs)
+    assert want is None
+    _, num, den, cut = divisions[-1]
+    assert cut is None and branch(num, den) == kind
+    got, got_ref = contract_explain(box, cs)
+    assert got is None
+    assert (got_ref.kind, got_ref.detail) == (want_ref.kind, want_ref.detail) == ("edge-dot", (0, 1))
+    assert _hex(got_ref.snapshot) == _hex(want_ref.snapshot)
+    assert recheck_refutation_exact(cs, got_ref)
+
+
+def test_signed_zero_endpoints_match_interval_oracle():
+    """A denominator whose lower endpoint is -0.0 straddles zero, so it
+    goes to the fallback, which cuts; a -0.0 endpoint of the box comes out
+    of the sweep as -0.0."""
+    cs = build_constraint_system(TRIANGLE_AND_EDGE, 0.3)
+    box = IntervalBox((-0.6, -0.9, 0.3, -0.0, -0.0, 0.5), (0.7, 0.9, 0.5, 0.7, 0.2, 1.0))
+    (want, _), divisions = oracle_divisions(box, cs)
+    assert want is not None
+    assert any(
+        den.lo.hex() == "-0x0.0p+0" and branch(num, den) == "1-piece fallback"
+        and (cut.lo, cut.hi) != (var.lo, var.hi)
+        for var, num, den, cut in divisions
+    )
+    got, got_ref = contract_explain(box, cs)
+    assert got_ref is None
+    assert _hex(got) == _hex(want)
+    assert "-0x0.0p+0" in [x.hex() for x in got.lo]
+
+
+def test_recheck_matches_whole_box_oracle(monkeypatch):
+    """The exact re-check converts only the variables the refuting
+    constraint reads.  It agrees with the whole-box re-check on every
+    refutation decide_embeddability makes on the n <= 6 graphs and the two
+    n = 10 classes, and on each of them over the initial box, where most
+    constraints do not refute."""
+    recheck = embedding.recheck_refutation_exact
+    answers = []
+
+    def both(cs, ref):
+        got = recheck(cs, ref)
+        assert got == ref_recheck_refutation_exact(cs, ref)
+        loose = replace(ref, snapshot=cs.initial_box())
+        answers.append((ref.kind, got, recheck(cs, loose)))
+        assert answers[-1][2] == ref_recheck_refutation_exact(cs, loose)
+        return got
+
+    monkeypatch.setattr(embedding, "recheck_refutation_exact", both)
+    budgets = {"I{d@?gI@w": 10**6, "I{O_ogI@W": 1000}
+    for g in GRAPHS:
+        budget = budgets.get(graph6_encode(g), 3000)
+        decide_embeddability(g, budget=budget, verify_refutations=True)
+    kinds = {kind for kind, _, _ in answers}
+    assert {"norm", "edge-dot", "separation"} <= kinds
+    assert {got for _, got, _ in answers} == {True}
+    assert False in {loose for _, _, loose in answers}
 
 
 def assert_float_system_matches(cs, eqs, pt) -> None:

@@ -14,7 +14,6 @@ from kssearch.intervals import (
     _up,
     bisect,
     extended_div,
-    isqrt_nonneg,
     mul,
     narrow_by_div,
     sqr,
@@ -46,21 +45,6 @@ def test_add_sub_mul_enclosure(a, b, c, d, t1, t2):
     assert contains((_dn(x[0] - y[1]), _up(x[1] - y[0])), px - py)
     assert contains(mul(*x, *y), px * py)
     assert contains(sqr(*x), px * px)
-
-
-@given(finite, finite)
-def test_sqrt_enclosure(a, b):
-    x = iv(abs(a), abs(b))
-    r = isqrt_nonneg(*x)
-    assert r is not None
-    mid = 0.5 * (x[0] + x[1])
-    assert contains(r, math.sqrt(mid))
-
-
-def test_sqrt_negative_interval():
-    assert isqrt_nonneg(-2.0, -1.0) is None
-    r = isqrt_nonneg(-1.0, 4.0)
-    assert contains(r, 0.0) and contains(r, 2.0)
 
 
 def test_extended_division_cases():

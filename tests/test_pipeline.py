@@ -1,5 +1,6 @@
 """Job orchestration: catalog persistence, resume, determinism, CLI, reports."""
 
+import contextlib
 import gc
 import json
 import math
@@ -638,8 +639,11 @@ def test_a_stopped_job_kills_its_workers(tmp_path, monkeypatch, stop):
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     start = time.monotonic()
     try:
-        with pytest.raises(KeyboardInterrupt):
-            main(argv) if stop == "SIGTERM" else run_search(spec)
+        if stop == "SIGTERM":
+            assert main(argv) == 128 + signal.SIGTERM
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run_search(spec)
         assert signal.getsignal(signal.SIGTERM) is unhandled  # main restores the handler
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -650,6 +654,105 @@ def test_a_stopped_job_kills_its_workers(tmp_path, monkeypatch, stop):
     assert sorted(os.listdir(spec.out_dir)) == ["shards", "spec.json"]
     shards = sorted(os.listdir(os.path.join(spec.out_dir, "shards")))
     assert shards == [f"{n}_root.jsonl" for n in range(1, 5)]
+
+
+# A pipeline job in its own interpreter whose ticket walks record their
+# worker's pid in pids/ beside this module and then sleep
+SLOW_JOB = """
+import os
+import sys
+import time
+
+from kssearch import cli, pipeline
+
+PIDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pids")
+walk = pipeline._process_ticket
+
+
+def slow(args):
+    if args[2]:
+        open(os.path.join(PIDS, str(os.getpid())), "w").close()
+        time.sleep(60)
+    return walk(args)
+
+
+def main():
+    os.makedirs(PIDS)
+    pipeline._process_ticket = slow
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@contextlib.contextmanager
+def slow_job(tmp_path):
+    """Run ``kssearch pipeline --workers 2`` with sleeping ticket walks;
+    yields the process, its output directory and the pids of its two
+    workers, once both sleep.  Kills what is left of it on the way out."""
+    (tmp_path / "slowjob.py").write_text(SLOW_JOB)
+    out = tmp_path / "job"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(pipeline.__file__), os.pardir)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), os.path.abspath(src)])
+    argv = ["pipeline", "--n", "1..8", "--tickets-depth", "4", "--workers", "2", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import slowjob; slowjob.main()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    pids_dir = tmp_path / "pids"
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not (pids_dir.is_dir() and len(os.listdir(pids_dir)) == 2):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "the workers never reached their ticket walks"
+            time.sleep(0.05)
+        pids = [int(p) for p in os.listdir(pids_dir)]
+        yield proc, out, pids
+    finally:
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_a_stopped_job_prints_one_line(tmp_path, signum):
+    """Ctrl-C or SIGTERM to ``kssearch pipeline`` writes one line to
+    stderr, naming the job and ``--resume``, not a traceback, and exits with
+    128 plus the signal's number: 130 or 143."""
+    with slow_job(tmp_path) as (proc, out, pids):
+        proc.send_signal(signum)
+        stdout, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == {signal.SIGINT: 130, signal.SIGTERM: 143}[signum]
+        assert stdout == ""
+        assert stderr == f"stopped: rerun with --resume to continue the job in {out}\n"
+        assert not any(running(pid) for pid in pids)
+
+
+def test_workers_end_with_a_killed_job(tmp_path):
+    """A job killed outright (SIGKILL, the OOM killer) runs no clean-up;
+    its workers end themselves within 5 s of it."""
+    with slow_job(tmp_path) as (proc, _, pids):
+        assert all(running(pid) for pid in pids)
+        proc.kill()
+        proc.wait()  # its orphaned workers still hold its pipes open
+        deadline = time.monotonic() + 5
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in pids)
 
 
 # ---------------------------------------------------------------------------
