@@ -163,10 +163,10 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
     order: a sum of products starts from 0.0 as the oracle's
     ``ZERO + p0 + p1 + p2`` does, and intersections and hulls keep
     ``max``/``min``'s argument order, so signed zeros come out the same.
-    Products, squares, square roots, the quotient by a denominator that
-    excludes zero and the intersections are :func:`mul`, :func:`sqr`,
-    ``extended_div`` and ``hull_of_cuts`` written out in the loop; a
-    denominator that contains zero goes through :func:`narrow_by_div`.  The
+    Products and squares are :func:`mul` and :func:`sqr` written out in the
+    loop, as are the square roots, the intersections and the quotient by a
+    denominator that excludes zero, with its one cut; a denominator that
+    contains zero goes through :func:`narrow_by_div`.  The
     outward rounding of sums, products, squares and roots is ``nextafter``
     written out.  It equals the guarded ``_dn``/``_up`` except at an
     infinity, which these values over the solver's boxes (endpoints in

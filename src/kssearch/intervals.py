@@ -66,45 +66,26 @@ def sqr(a: float, b: float) -> tuple[float, float]:
     return 0.0, _up(b if b > a else a)
 
 
-def extended_div(a: float, b: float, c: float, d: float) -> list[tuple[float, float]]:
-    """[a, b] / [c, d] as 0, 1 or 2 intervals (splitting around a zero of den).
+def narrow_by_div(lo: float, hi: float, a: float, b: float, c: float, d: float):
+    """[lo, hi] ∩ ([a, b] / [c, d]) for a denominator that contains 0 and a
+    target that does not; None when empty.
 
-    The union of the returned intervals contains every x with x*y ∈ [a, b]
-    for some y ∈ [c, d].  A two-sided zero denominator with 0 ∈ [a, b] yields
-    the whole line (returned as one interval).
+    The quotient is then up to two rays, (-inf, r] and [s, inf), and a
+    domain that meets both comes back whole.  The sweep divides by a
+    denominator that excludes 0 itself, and skips a division whose target
+    contains 0 too, as its quotient is the whole line.
     """
-    if c == 0.0 and d == 0.0:
-        return [(-_INF, _INF)] if a <= 0.0 <= b else []
-    if c > 0 or d < 0:
-        # rounding is monotone, so rounding the extreme quotient equals
-        # taking the extreme of the rounded quotients
-        q0, q1, q2, q3 = a / c, a / d, b / c, b / d
-        lo = q1 if q1 < q0 else q0
-        lo = q2 if q2 < lo else lo
-        lo = q3 if q3 < lo else lo
-        hi = q1 if q1 > q0 else q0
-        hi = q2 if q2 > hi else hi
-        hi = q3 if q3 > hi else hi
-        return [(_dn(lo), _up(hi))]
-    # den straddles zero
-    if a <= 0.0 <= b:
-        return [(-_INF, _INF)]
-    out = []
+    pieces = []
     if b < 0:
         if d > 0:
-            out.append((-_INF, _up(b / d)))
+            pieces.append((-_INF, _up(b / d)))
         if c < 0:
-            out.append((_dn(b / c), _INF))
+            pieces.append((_dn(b / c), _INF))
     else:  # a > 0
         if c < 0:
-            out.append((-_INF, _up(a / c)))
+            pieces.append((-_INF, _up(a / c)))
         if d > 0:
-            out.append((_dn(a / d), _INF))
-    return out
-
-
-def hull_of_cuts(lo: float, hi: float, pieces) -> tuple[float, float] | None:
-    """[lo, hi] ∩ (union of pieces), hulled; None when every cut is empty."""
+            pieces.append((_dn(a / d), _INF))
     best = None
     for plo, phi in pieces:
         cl = plo if plo > lo else lo
@@ -115,11 +96,6 @@ def hull_of_cuts(lo: float, hi: float, pieces) -> tuple[float, float] | None:
                 ch = ch if ch > best[1] else best[1]
             best = (cl, ch)
     return best
-
-
-def narrow_by_div(lo: float, hi: float, a: float, b: float, c: float, d: float):
-    """[lo, hi] ∩ ([a, b] / [c, d]), hulled when the division splits; None when empty."""
-    return hull_of_cuts(lo, hi, extended_div(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------

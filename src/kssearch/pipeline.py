@@ -174,10 +174,13 @@ def _process_ticket(args) -> None:
 def _end_with_job(job: int) -> None:
     """Pool initializer: a daemon thread ends this worker once its parent is
     no longer ``job``, the job's process id, so that a job killed without
-    clean-up (SIGKILL, the OOM killer) leaves no worker running.  A worker
-    ended mid-write leaves only its shard's ``.tmp`` file, which no rename
-    makes a shard.  Ctrl-C at a terminal reaches every process of the
-    group; the workers ignore it, and the job kills them itself."""
+    clean-up (SIGKILL, the OOM killer) leaves no worker running.  The pool
+    forks its workers from the job, so the job is their parent until it
+    dies (under ``forkserver``, the default from Python 3.14, it would not
+    be).  A worker ended mid-write leaves only its shard's ``.tmp`` file,
+    which no rename makes a shard.  Ctrl-C at a terminal reaches every
+    process of the group; the workers ignore it, and the job kills them
+    itself."""
     import signal
     import threading
     import time
@@ -255,11 +258,14 @@ def run_search(spec: JobSpec) -> dict:
 
     if spec.workers > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import active_children
+        from multiprocessing import active_children, get_context
 
         others = set(active_children())
         with ProcessPoolExecutor(
-            max_workers=spec.workers, initializer=_end_with_job, initargs=(os.getpid(),)
+            max_workers=spec.workers,
+            mp_context=get_context("fork"),  # _end_with_job needs the job as parent
+            initializer=_end_with_job,
+            initargs=(os.getpid(),),
         ) as pool:
             try:
                 for task, fut in [(t, pool.submit(_process_ticket, t)) for t in tasks]:

@@ -13,7 +13,6 @@ from kssearch.intervals import (
     _dn,
     _up,
     bisect,
-    extended_div,
     mul,
     narrow_by_div,
     sqr,
@@ -47,33 +46,30 @@ def test_add_sub_mul_enclosure(a, b, c, d, t1, t2):
     assert contains(sqr(*x), px * px)
 
 
-def test_extended_division_cases():
-    whole = extended_div(1.0, 2.0, 0.0, 0.0)
-    assert whole == []
-    whole = extended_div(-1.0, 1.0, 0.0, 0.0)
-    assert len(whole) == 1 and math.isinf(whole[0][0])
-    plain = extended_div(1.0, 2.0, 1.0, 2.0)
-    assert len(plain) == 1 and contains(plain[0], 1.0) and contains(plain[0], 2.0)
-    split = extended_div(1.0, 2.0, -1.0, 1.0)
-    assert len(split) == 2
-
-
-@given(finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
-def test_extended_division_enclosure(a, b, c, d, t1, t2):
-    num, den = iv(a, b), iv(c, d)
+@given(finite, finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
+def test_narrow_by_div_enclosure(a, b, c, d, x, t1, t2):
+    """A domain point q with q * y in the target for some nonzero y of a
+    denominator that contains 0 stays in the cut."""
+    num, den = iv(a, b), (-abs(c), abs(d))
+    if num[0] <= 0.0 <= num[1]:
+        return
     pn, pd = point_in(num, t1), point_in(den, t2)
     if pd == 0:
         return
     q = pn / pd
-    pieces = extended_div(*num, *den)
-    assert any(contains(p, q) for p in pieces)
+    cut = narrow_by_div(*iv(q, x), *num, *den)
+    assert cut is not None and contains(cut, q)
 
 
 def test_narrow_by_div():
-    # x * y = target with y = [2, 4], target = [8, 8] -> x in [2, 4]
-    got = narrow_by_div(-10.0, 10.0, 8.0, 8.0, 2.0, 4.0)
-    assert got[0] <= 2.0 <= 4.0 <= got[1]
-    assert narrow_by_div(5.0, 6.0, 8.0, 8.0, 2.0, 4.0) is None
+    # x * y = 8 with y = [-1, 4]: x <= -8 or x >= 2
+    assert narrow_by_div(-10.0, 10.0, 8.0, 8.0, -1.0, 4.0) == (-10.0, 10.0)
+    assert narrow_by_div(0.0, 10.0, 8.0, 8.0, -1.0, 4.0) == (math.nextafter(2.0, 0.0), 10.0)
+    assert narrow_by_div(-5.0, 1.0, 8.0, 8.0, -1.0, 4.0) is None
+    # x * y = -8 with y = [0, 4]: x <= -2
+    assert narrow_by_div(-10.0, 10.0, -8.0, -8.0, 0.0, 4.0) == (-10.0, math.nextafter(-2.0, 0.0))
+    # no x has x * 0 = 8
+    assert narrow_by_div(-10.0, 10.0, 8.0, 8.0, 0.0, 0.0) is None
 
 
 def test_bisect_basic():

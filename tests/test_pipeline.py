@@ -755,6 +755,23 @@ def test_workers_end_with_a_killed_job(tmp_path):
         assert not any(running(pid) for pid in pids)
 
 
+def test_workers_run_under_a_forkserver_default(tmp_path):
+    """The pool forks its workers whatever the interpreter's default start
+    method (forkserver from Python 3.14), so each worker's parent is the
+    job and no worker ends itself at its first check."""
+    out = tmp_path / "job"
+    run = (
+        "import multiprocessing, sys; multiprocessing.set_start_method('forkserver'); "
+        "from kssearch import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    argv = ["pipeline", "--n", "1..7", "--tickets-depth", "4", "--workers", "2", "--out", str(out)]
+    r = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["complete"] and summary["tickets_failed"] == []
+    assert summary["tickets_processed"] == 1 + len(list_tickets(4))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
