@@ -71,13 +71,14 @@ class ConstraintSystem:
 def build_constraint_system(g: Graph, delta: float = DEFAULT_DELTA) -> ConstraintSystem:
     """Pin a triangle (or an edge) to the axes and transcribe the constraints.
 
-    Raises :class:`NoEdgesError` for edgeless graphs.
+    Raises ValueError for a delta outside [MIN_DELTA, 1), and then
+    :class:`NoEdgesError` for edgeless graphs.
     """
-    if g.edge_count() == 0:
-        raise NoEdgesError("graph has no edges; trivially embeddable")
     if not MIN_DELTA <= delta < 1.0:
         raise ValueError(f"delta must lie in [{MIN_DELTA}, 1); smaller values are "
                          "below double-precision separation resolution")
+    if g.edge_count() == 0:
+        raise NoEdgesError("graph has no edges; trivially embeddable")
     tris = triangles(g)
     if tris:
         pin_verts = list(tris[0])

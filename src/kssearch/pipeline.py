@@ -1,14 +1,14 @@
 """Search orchestration: enumerate, filter, colour, embed, persist, report.
 
 A job's state on disk is ``spec.json`` plus ``shards/``.  The job splits
-the enumeration into subtree tickets at the ticket depth: the root covers
-the sizes up to that depth, each ticket the sizes above it.  One walk of a
-ticket's subtree serves all its sizes, and the records of each size n land
-in their own shard ``<n>_<ticket>.jsonl``, written in catalog format through
-:func:`catalog.write_synced`.  A size of a ticket is done exactly when its
-shard exists, so a killed job resumes where it stopped.  Shards merge into
-the canonical catalog at the end, and the summary is built from the merged
-records.
+the enumeration into subtree tickets at the ticket depth: the root walk
+covers the sizes up to that depth, each ticket's walk the sizes above it.
+A walk is the unit of work and of state: it writes the records of all its
+sizes to one shard, ``<ticket>.jsonl`` (``root.jsonl`` for the root), in
+catalog format through :func:`catalog.write_synced`.  A walk is done
+exactly when its shard exists, so a killed job resumes where it stopped.
+The shards of the job's walks merge into the canonical catalog at the end,
+and the summary is built from the merged records.
 """
 
 from __future__ import annotations
@@ -158,17 +158,14 @@ def evaluate_graph(
 
 
 def _process_ticket(args) -> None:
-    """Worker: walk one subtree once, evaluate the classes of each size in
-    ``shards``, and write each size's shard."""
-    spec, shards, ticket_id = args
+    """Worker: walk one subtree once, evaluate its classes of every size in
+    ``sizes``, and write their records to the walk's one ``shard``."""
+    spec, sizes, ticket_id, shard = args
     ticket = SubtreeTicket.from_id(ticket_id) if ticket_id else None
-    lines: dict[int, list[str]] = {n: [] for n in shards}
-    for g in enumerate_graphs(max(shards), ticket, n_min=min(shards)):
-        if g.n in lines:
-            record = evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta)
-            lines[g.n].append(record.to_json() + "\n")
-    for n, shard in shards.items():
-        write_synced(shard, lines[n])
+    write_synced(shard, (
+        evaluate_graph(g, spec.grid_ladder, spec.interval_budget, spec.delta).to_json() + "\n"
+        for g in enumerate_graphs(sizes[-1], ticket, n_min=sizes[0])
+    ))
 
 
 def _end_with_job(job: int) -> None:
@@ -177,7 +174,7 @@ def _end_with_job(job: int) -> None:
     clean-up (SIGKILL, the OOM killer) leaves no worker running.  The pool
     forks its workers from the job, so the job is their parent until it
     dies (under ``forkserver``, the default from Python 3.14, it would not
-    be).  A worker ended mid-write leaves only its shard's ``.tmp`` file,
+    be).  A worker ended mid-walk leaves at most its shard's ``.tmp`` file,
     which no rename makes a shard.  Ctrl-C at a terminal reaches every
     process of the group; the workers ignore it, and the job kills them
     itself."""
@@ -198,17 +195,20 @@ def _end_with_job(job: int) -> None:
 def run_search(spec: JobSpec) -> dict:
     """Execute (or resume) a job; returns the summary dict.
 
-    One task walks one ticket's subtree for every size it covers whose shard
-    is missing.  A job stops early only by being killed: the shards already
-    written stay, that run writes no catalog or summary, and a resume runs
-    exactly the walks whose shards are missing.  When an exception such as
+    One task is one walk whose shard is missing: the root's or one
+    ticket's subtree, for every size it covers.  The pool has no more
+    workers than there are tasks, and a lone task runs in this process.
+    A job stops early only by being killed: the shards already written
+    stay, that run writes no catalog or summary, and a resume runs exactly
+    the walks whose shards are missing.  When an exception such as
     KeyboardInterrupt stops a job with workers, its workers are killed,
-    since the pool would otherwise run every walk left before it returns;
-    a worker whose job was killed outright ends itself.  A task that raises is
-    listed in ``tickets_failed`` as ``n=…, ticket=…: <Type>: <message>``,
+    since the pool would otherwise run every walk left before it returns; a
+    worker whose job was killed outright ends itself.  A task that raises
+    is listed in ``tickets_failed`` as ``n=…, ticket=…: <Type>: <message>``,
     its sizes given as ``n=8`` or lowest to highest as ``n=8..10``; the
     other tasks run, the summary is written with ``complete`` false, and a
-    resume runs it again.
+    resume runs it again.  The catalog merges the shards of this job's
+    walks and no other file of ``shards/``.
     """
     spec.validate()
     shard_dir = os.path.join(spec.out_dir, "shards")
@@ -225,44 +225,40 @@ def run_search(spec: JobSpec) -> dict:
 
     # the root walks the sizes up to the split depth, each ticket those above
     depth = spec.ticket_depth
-    walks = [(None, range(spec.n_min, min(spec.n_max, depth) + 1))]
+    walks = [("", range(spec.n_min, min(spec.n_max, depth) + 1))]
     if spec.n_max > depth:
         above = range(max(spec.n_min, depth + 1), spec.n_max + 1)
-        walks += [(t, above) for t in list_tickets(depth)]
-    tasks = []
-    for t, ns in walks:
-        ticket_id = t.ticket_id if t else ""
-        name = ticket_id.replace(":", "-") or "root"
-        shards = {}
-        for n in ns:
-            path = os.path.join(shard_dir, f"{n}_{name}.jsonl")
-            if not os.path.exists(path):  # shards land synced: one that exists is done
-                shards[n] = path
-        if shards:
-            tasks.append((spec, shards, ticket_id))
+        walks += [(t.ticket_id, above) for t in list_tickets(depth)]
+    shards, tasks = [], []
+    for ticket_id, sizes in walks:
+        if sizes:  # the root has none when n_min lies above the depth
+            shard = os.path.join(shard_dir, f"{ticket_id.replace(':', '-') or 'root'}.jsonl")
+            shards.append(shard)
+            if not os.path.exists(shard):  # shards land synced: one that exists is done
+                tasks.append((spec, sizes, ticket_id, shard))
 
     processed = 0
     failed: list[str] = []
 
     def attempt(task, call) -> None:
-        # a walk that raises writes none of its shards, so a resume runs it again
+        # a walk that raises writes no shard, so a resume runs it again
         nonlocal processed
         try:
             call()
             processed += 1
         except Exception as e:  # a broken pool fails each ticket left
-            _, shards, ticket_id = task
-            lo, hi = min(shards), max(shards)
-            ns = f"{lo}..{hi}" if hi > lo else f"{lo}"
+            _, sizes, ticket_id, _ = task
+            ns = f"{sizes[0]}..{sizes[-1]}" if len(sizes) > 1 else f"{sizes[0]}"
             failed.append(f"n={ns}, ticket={ticket_id or 'root'}: {type(e).__name__}: {e}")
 
-    if spec.workers > 1 and tasks:
+    workers = min(spec.workers, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import active_children, get_context
 
         others = set(active_children())
         with ProcessPoolExecutor(
-            max_workers=spec.workers,
+            max_workers=workers,
             mp_context=get_context("fork"),  # _end_with_job needs the job as parent
             initializer=_end_with_job,
             initargs=(os.getpid(),),
@@ -278,10 +274,8 @@ def run_search(spec: JobSpec) -> dict:
         for task in tasks:
             attempt(task, lambda: _process_ticket(task))
 
-    shards = sorted(
-        os.path.join(shard_dir, f) for f in os.listdir(shard_dir) if f.endswith(".jsonl")
-    )
-    records = compact(shards, os.path.join(spec.out_dir, "catalog.jsonl"))
+    done = [shard for shard in shards if os.path.exists(shard)]
+    records = compact(done, os.path.join(spec.out_dir, "catalog.jsonl"))
     per_n: dict[int, int] = {}
     survivors = []
     conjecture_probe = []

@@ -240,9 +240,9 @@ def test_resume_after_interruption(tmp_path, monkeypatch):
     run_search(full)
     part = spec_for(tmp_path / "part", 8, ticket_depth=4)
     # the root covers n = 1..4, each of the 3 tickets at depth 4 n = 5..8
-    assert len(interrupt_on_call(monkeypatch, part, 4)) == 4 + 2 * 4
+    assert interrupt_on_call(monkeypatch, part, 4) == ["4-34.jsonl", "4-3c.jsonl", "root.jsonl"]
     # a crashed shard write leaves only a .tmp file; it must be ignored
-    stale = os.path.join(part.out_dir, "shards", "9_bogus.jsonl.tmp")
+    stale = os.path.join(part.out_dir, "shards", "4-32.jsonl.tmp")
     open(stale, "w").write('{"junk": true}\n')
     resumed = run_search(part)
     assert resumed["tickets_processed"] == 1 and resumed["complete"]
@@ -257,7 +257,7 @@ def test_resume_reruns_logged_ticket_without_shard(tmp_path):
     run_search(full)
     part = spec_for(tmp_path / "part", 8, ticket_depth=4)
     run_search(part)
-    lost = os.path.join(part.out_dir, "shards", "8_4-34.jsonl")
+    lost = os.path.join(part.out_dir, "shards", "4-34.jsonl")
     assert len(read_records(lost)) > 0
     os.remove(lost)
     resumed = run_search(part)
@@ -268,45 +268,60 @@ def test_resume_reruns_logged_ticket_without_shard(tmp_path):
     assert c1 == c2
 
 
-def test_resume_rewrites_only_the_missing_shards_of_a_ticket(tmp_path):
-    full = spec_for(tmp_path / "full", 8, ticket_depth=4)
-    run_search(full)
-    part = spec_for(tmp_path / "part", 8, ticket_depth=4)
-    run_search(part)
-    shard_dir = os.path.join(part.out_dir, "shards")
-    shard = {n: os.path.join(shard_dir, f"{n}_4-34.jsonl") for n in (5, 6, 7, 8)}
-    kept = {n: os.stat(shard[n]).st_mtime_ns for n in (5, 7)}
-    os.remove(shard[6])
-    os.remove(shard[8])
-    resumed = run_search(part)
-    assert resumed["tickets_processed"] == 1 and resumed["complete"]
-    assert os.path.exists(shard[6]) and os.path.exists(shard[8])
-    assert {n: os.stat(shard[n]).st_mtime_ns for n in (5, 7)} == kept
-    c1 = open(os.path.join(full.out_dir, "catalog.jsonl"), "rb").read()
-    c2 = open(os.path.join(part.out_dir, "catalog.jsonl"), "rb").read()
-    assert c1 == c2
+def test_shards_are_one_per_walk(tmp_path):
+    spec = spec_for(tmp_path / "j", 8, ticket_depth=4)
+    run_search(spec)
+    tickets = [t.ticket_id.replace(":", "-") + ".jsonl" for t in list_tickets(4)]
+    assert len(tickets) == 3
+    shards = os.listdir(os.path.join(spec.out_dir, "shards"))
+    assert sorted(shards) == sorted(["root.jsonl", *tickets])
+
+
+def test_catalog_merges_only_the_shards_of_the_job(tmp_path):
+    spec = spec_for(tmp_path / "j", 8, ticket_depth=4)
+    run_search(spec)
+    catalog = os.path.join(spec.out_dir, "catalog.jsonl")
+    clean = open(catalog, "rb").read()
+    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    stray = evaluate_graph(k4).to_json()  # a valid record of a graph no walk yields
+    open(os.path.join(spec.out_dir, "shards", "extra.jsonl"), "w").write(stray + "\n")
+    assert run_search(spec)["records"] == len(clean.splitlines())
+    assert open(catalog, "rb").read() == clean
 
 
 def test_resume_accepts_older_job_directory(tmp_path):
-    # job directories from before shards were written in catalog format
-    # hold a tickets.log and shard lines with a "timestamps" key
+    # job directories from before one shard per walk hold a shard per size
+    # and walk, <n>_<ticket>.jsonl; from before shards were written in
+    # catalog format, also a tickets.log and lines with a "timestamps" key
     spec = spec_for(tmp_path / "old", 8, ticket_depth=4)
     run_search(spec)
     catalog = os.path.join(spec.out_dir, "catalog.jsonl")
     clean = open(catalog, "rb").read()
     os.remove(catalog)
     shard_dir = os.path.join(spec.out_dir, "shards")
-    keys = []
+    stamp = {"timestamps": {"created": "2026-01-01T00:00:00Z"}}
+    keys, old = [], {}
     for name in sorted(os.listdir(shard_dir)):
-        n, ticket = name[: -len(".jsonl")].split("_")
-        keys.append(f"{n}/{ticket.replace('-', ':')}\n")
         path = os.path.join(shard_dir, name)
-        stamp = {"timestamps": {"created": "2026-01-01T00:00:00Z"}}
-        lines = [json.dumps({**json.loads(line), **stamp}, sort_keys=True) for line in open(path)]
-        open(path, "w").writelines(line + "\n" for line in lines)
+        for line in open(path):
+            data = {**json.loads(line), **stamp}
+            key = f"{data['n']}_{name}"
+            old[key] = old.get(key, "") + json.dumps(data, sort_keys=True) + "\n"
+        os.remove(path)
+    for name, text in old.items():
+        keys.append(name[: -len(".jsonl")].replace("_", "/").replace("-", ":") + "\n")
+        open(os.path.join(shard_dir, name), "w").write(text)
     open(os.path.join(spec.out_dir, "tickets.log"), "w").writelines(keys)
+    # the walks rerun; the older files stay as they were, and none is read
     resumed = run_search(spec)
-    assert resumed["tickets_processed"] == 0 and resumed["complete"]
+    assert resumed["tickets_processed"] == 4 and resumed["complete"]
+    assert open(catalog, "rb").read() == clean
+    assert all(open(os.path.join(shard_dir, name)).read() == text for name, text in old.items())
+    # a walk's shard whose lines carry a "timestamps" key still compacts
+    root = os.path.join(shard_dir, "root.jsonl")
+    lines = [json.dumps({**json.loads(line), **stamp}, sort_keys=True) for line in open(root)]
+    open(root, "w").writelines(line + "\n" for line in lines)
+    assert run_search(spec)["tickets_processed"] == 0
     assert open(catalog, "rb").read() == clean
 
 
@@ -339,7 +354,7 @@ def test_resume_through_another_path_with_another_worker_count(tmp_path, monkeyp
     full = spec_for(tmp_path / "full", 8, ticket_depth=4)
     run_search(full)
     part = spec_for(tmp_path / "part", 8, ticket_depth=4)
-    assert len(interrupt_on_call(monkeypatch, part, 4)) == 12
+    assert len(interrupt_on_call(monkeypatch, part, 4)) == 3
     stored = open(os.path.join(part.out_dir, "spec.json")).read()
     os.rename(part.out_dir, tmp_path / "moved")
     monkeypatch.chdir(tmp_path)
@@ -457,7 +472,7 @@ def test_malformed_record_line_is_a_usage_error(tmp_path, capsys, edit, message)
 
     spec = spec_for(tmp_path / "j", 4)
     run_search(spec)
-    shard = os.path.join(spec.out_dir, "shards", "4_root.jsonl")
+    shard = os.path.join(spec.out_dir, "shards", "root.jsonl")
     catalog = os.path.join(spec.out_dir, "catalog.jsonl")
     capsys.readouterr()
     for path, argv in [
@@ -536,6 +551,43 @@ def test_run_search_with_worker_pool(tmp_path):
     c1 = open(os.path.join(solo.out_dir, "catalog.jsonl"), "rb").read()
     c2 = open(os.path.join(pooled.out_dir, "catalog.jsonl"), "rb").read()
     assert c1 == c2
+
+
+def test_pool_has_no_more_workers_than_walks(tmp_path, monkeypatch):
+    """The pool forks all its workers at the first submit, so it is sized
+    by the walks left to run; one walk left runs in the job's process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:  # records its size and runs each task at submit
+        def __init__(self, max_workers, **_):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    # the root walks n = 1..3, each of the 2 tickets at depth 3 n = 4..5
+    for workers, pooled in [(5, [3]), (64, [3]), (2, [2]), (1, [])]:
+        sizes.clear()
+        spec = spec_for(tmp_path / str(workers), 5, ticket_depth=3, workers=workers)
+        assert run_search(spec)["tickets_processed"] == 3
+        assert sizes == pooled
+    os.remove(os.path.join(spec.out_dir, "shards", "root.jsonl"))
+    resumed = run_search(spec_for(spec.out_dir, 5, ticket_depth=3, workers=5))
+    assert resumed["tickets_processed"] == 1
+    assert sizes == []
+    assert run_search(spec_for(tmp_path / "small", 3, workers=4))["tickets_processed"] == 1
+    assert sizes == []
 
 
 FAILURES = {
@@ -653,7 +705,7 @@ def test_a_stopped_job_kills_its_workers(tmp_path, monkeypatch, stop):
     assert multiprocessing.active_children() == []
     assert sorted(os.listdir(spec.out_dir)) == ["shards", "spec.json"]
     shards = sorted(os.listdir(os.path.join(spec.out_dir, "shards")))
-    assert shards == [f"{n}_root.jsonl" for n in range(1, 5)]
+    assert shards == ["root.jsonl"]
 
 
 # A pipeline job in its own interpreter whose ticket walks record their
@@ -928,6 +980,11 @@ def test_cli_embed_interval_exit_codes(tmp_path):
         r = cli("embed-interval", "--budget", "1", removed, str(path), input=c4 + "\n")
         assert r.returncode == 1 and "unrecognized arguments" in r.stderr
         assert not path.exists()
+
+
+def test_cli_embed_interval_rejects_a_bad_delta_for_an_edgeless_graph():
+    r = cli("embed-interval", "--delta", "5", input="@\n")
+    assert r.returncode == 1 and r.stdout == "" and "delta must lie in" in r.stderr, r.stderr
 
 
 def test_cli_embed_interval_rechecks_refutations_exactly(tmp_path, monkeypatch, capsys):
