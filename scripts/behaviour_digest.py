@@ -9,7 +9,9 @@ and after:
 - the count of ``enumerate_graphs(11)`` and the sha256 of its upper-triangle
   codes in DFS order, one per line;
 - the sha256 of the interval verdicts (``verdict_to_json``, one line per
-  graph) for every connected square-free graph with n <= 7 at budget 3,000;
+  graph) for every connected square-free graph with n <= 7 at budget 3,000,
+  and ``verdict_kinds_n_le_7``, the count of each verdict kind among them,
+  so that a change of kind shows without diffing hashes;
 - the verdict lines of the two n = 10 classes without a grid embedding,
   I{d@?gI@w at budget 10^6 and I{O_ogI@W at budget 1,000;
 - the sha256 of the residual boxes of each of those verdicts that is
@@ -42,6 +44,7 @@ import json
 import random
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -150,6 +153,7 @@ def main() -> int:
         "enumerate_11_sha256": hashlib.sha256("\n".join(codes).encode()).hexdigest(),
         "verdicts_n_le_7": len(small),
         "verdicts_n_le_7_sha256": hashlib.sha256("\n".join(small).encode()).hexdigest(),
+        "verdict_kinds_n_le_7": Counter(v.kind for v in verdicts),
         "contract_explain_sweeps": len(sweeps),
         "contract_explain_sha256": hashlib.sha256("\n".join(sweeps).encode()).hexdigest(),
         "certificates_n_le_7": len(certificates),

@@ -10,6 +10,10 @@ Vertex distinctness is projective: directions u, v coincide iff (u.v)^2 = 1,
 so the separation inequality used here is (u.v)^2 <= 1 - delta^2 for every
 non-adjacent pair.  Unlike a plain |u-v|^2 lower bound it also excludes
 near-antipodal coincidences on the closed hemisphere boundary.
+
+The flip lemma: negating x (or y) in every vector keeps norms, dot products,
+coordinate zeros, separation bounds and z >= 0, and sends each pinned axis to
+its antipode (the same direction), so x and y may each be >= 0 on one slot.
 """
 
 from __future__ import annotations
@@ -64,8 +68,13 @@ class ConstraintSystem:
         return _up(math.sqrt(1.0 - self.delta * self.delta))
 
     def initial_box(self) -> IntervalBox:
+        """Per slot x, y in [-1, 1], z in [0, 1]; by the flip lemma x, y >= 0 on one slot each."""
         k = len(self.free)
-        return IntervalBox((-1.0, -1.0, 0.0) * k, (1.0, 1.0, 1.0) * k)
+        lo = [-1.0, -1.0, 0.0] * k
+        for c in (0, 1):  # the first slot where c is not a coordinate zero, if any
+            for s in [s for s in range(k) if (s, c) not in self.coord_zero][:1]:
+                lo[3 * s + c] = 0.0
+        return IntervalBox(tuple(lo), (1.0, 1.0, 1.0) * k)
 
 
 def build_constraint_system(g: Graph, delta: float = DEFAULT_DELTA) -> ConstraintSystem:

@@ -1,9 +1,9 @@
 """Branch-and-prune embeddability decisions with certified verdicts.
 
-Refutation: the initial box (per free vertex x,y in [-1,1], z in [0,1], a
-cover of all embeddings up to the pinned symmetry quotient) is contracted
-and bisected until every box is excluded by interval evaluation; that proves
-no embedding has all pairwise projective separations >= delta.
+Refutation: the initial box (x,y in [-1,1] and z in [0,1] per free vertex,
+quartered by the sign flips: a cover of all embeddings up to symmetry) is
+contracted and bisected until every box is excluded by interval evaluation;
+that proves no embedding has all pairwise projective separations >= delta.
 
 Existence: a Krawczyk interval-Newton step mapping a box strictly into its
 own interior certifies a real root of a square equation system.  Systems
@@ -391,7 +391,8 @@ def decide_embeddability(
     """Branch-and-prune verdict on embeddability as a vector system.
 
     ProvedUnembeddable(delta): no embedding with all pairwise projective
-    separations >= delta exists (the delta caveat is part of the verdict).
+    separations >= delta exists (the delta caveat is part of the verdict):
+    by the flip lemma (``constraints``) the initial box holds one per flip orbit.
     ProvedEmbeddable: Krawczyk certificate plus strict distinctness over its
     refined box.  Budget exhaustion yields Inconclusive with residual
     boxes.  Budget is counted in contraction steps (sweeps), so verdicts are

@@ -12,8 +12,7 @@ import time
 import pytest
 
 from kssearch import embedding
-from kssearch.constraints import build_constraint_system
-from kssearch.graphs import Graph, encode_upper_triangle, graph6_decode
+from kssearch.graphs import Graph, encode_upper_triangle
 from kssearch.orderly import enumerate_graphs
 from kssearch.colouring import is_k_colourable, solve_101
 from kssearch.grids import (
@@ -183,7 +182,7 @@ def test_criterion_08_small_graph_embeddability(small_graphs):
     )
 
 
-def test_criterion_09_property_suites(monkeypatch):
+def test_criterion_09_property_suites(monkeypatch, planted_star):
     # canonicity prefix-closedness and connected-prefix pruning, n <= 8
     prefixes = verify_known("prop5-prefixes")
     ok = prefixes["passed"]
@@ -226,12 +225,9 @@ def test_criterion_09_property_suites(monkeypatch):
             ok = False
         enc_trials += 1
     # planted-point cover conservation: no sweep whose box holds the star
-    # K_{1,5}'s unit-scaled N = 2 grid embedding refutes the box or drops it
-    star = graph6_decode("Esa?")
-    cs = build_constraint_system(star, 1e-4)
-    mapping = grid_embed(star, 2).mapping
-    ok &= all(mapping[v] == tuple(2 * c for c in axis) for v, axis in cs.pinned)
-    planted = [c / math.hypot(*mapping[v]) for v in cs.free for c in mapping[v]]
+    # K_{1,5}'s unit-scaled N = 2 grid embedding, flipped into the initial
+    # box, refutes the box or drops it
+    star, planted = planted_star
     sweep = embedding.contract_explain
     refuted, held, violations = [], [], []
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kssearch.graphs import Graph, graph6_decode
-from kssearch.grids import grid_embed
 from kssearch.constraints import (
     ConstraintSystem,
     NoEdgesError,
@@ -66,6 +65,39 @@ def test_every_edge_contributes_one_equation():
     cs = build_constraint_system(g)
     pinned_edges = 3  # inside the pinned triangle
     assert len(cs.coord_zero) + len(cs.dot_pairs) == g.edge_count() - pinned_edges
+
+
+@pytest.mark.parametrize(
+    "graph,lo",
+    [
+        (C4, (0.0, -1.0, 0.0, -1.0, 0.0, 0.0)),  # x on slot 0, y on slot 1
+        (P4, (0.0, -1.0, 0.0, -1.0, 0.0, 0.0)),  # slot 0's y is a coordinate zero
+        (K13, (-1.0, 0.0, 0.0, -1.0, -1.0, 0.0)),  # every x is a coordinate zero
+        (PAW, (0.0, 0.0, 0.0)),  # z is the coordinate zero
+    ],
+    ids=["C4", "P4", "K13", "paw"],
+)
+def test_initial_box_of_small_graphs(graph, lo):
+    box = build_constraint_system(graph).initial_box()
+    assert box.lo == lo and box.hi == (1.0,) * len(lo)
+
+
+def test_initial_box_raises_exactly_the_two_flip_bounds():
+    # on every n <= 6 class, against x, y in [-1, 1], z in [0, 1] per slot,
+    # only x's and y's lower bounds move to 0, each on the first slot where
+    # it is not a coordinate zero
+    for g in (g for n in range(2, 7) for g in enumerate_graphs(n)):
+        cs = build_constraint_system(g)
+        k = len(cs.free)
+        box = cs.initial_box()
+        assert box.hi == (1.0, 1.0, 1.0) * k
+        raised = {i for i, (a, b) in enumerate(zip(box.lo, (-1.0, -1.0, 0.0) * k)) if a != b}
+        expected = set()
+        for c in (0, 1):
+            nonzero = [s for s in range(k) if (s, c) not in cs.coord_zero]
+            expected |= {3 * s + c for s in nonzero[:1]}
+        assert raised == expected, g
+        assert all(box.lo[i] == 0.0 for i in raised)
 
 
 def test_contract_excludes_far_dot():
@@ -173,6 +205,14 @@ def test_c4_refutation_with_exact_shadow():
     assert v.delta == 1e-4
 
 
+def test_n10_class_refuted_at_coarse_delta_with_exact_shadow():
+    # the flip quarter brings this class within reach: about 5,200 sweeps
+    v = decide_embeddability(graph6_decode("I{O_ogI@W"), budget=10**6, delta=0.3,
+                             verify_refutations=True)
+    assert isinstance(v, ProvedUnembeddable) and v.delta == 0.3
+    assert v.stats.contraction_steps <= 6_000
+
+
 def test_c4_refutation_robust_to_smaller_delta():
     v = decide_embeddability(C4, budget=10**6, delta=1e-5)
     assert isinstance(v, ProvedUnembeddable)
@@ -233,19 +273,40 @@ def test_over_determined_reports_unknown(graph):
     assert prove_root_in_box(cs.initial_box(), cs, ()) is None
 
 
+def _flipped(cert, c):
+    """The certificate's box and slices with coordinate c of every slot negated."""
+    lo, hi = list(cert.box.lo), list(cert.box.hi)
+    lo[c::3], hi[c::3] = [-b for b in hi[c::3]], [-a for a in lo[c::3]]
+    slices = tuple((i, -v if i % 3 == c else v) for i, v in cert.slices)
+    return IntervalBox(tuple(lo), tuple(hi)), slices
+
+
+def test_flip_lemma_on_every_small_certificate():
+    # the flip lemma, checked by the Krawczyk test: each n <= 7 certificate
+    # stays a certificate when the x, or the y, of every vector is negated
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            v = decide_embeddability(g, budget=3_000)
+            assert isinstance(v, ProvedEmbeddable), g
+            if v.certificate is None or not len(v.certificate.box):
+                continue
+            cs = build_constraint_system(g)
+            for c in (0, 1):
+                box, slices = _flipped(v.certificate, c)
+                assert prove_root_in_box(box, cs, slices) is not None, (g, c)
+                checked += 1
+    assert checked == 176
+
+
 def _holds(box, pt) -> bool:
     return all(a <= v <= b for a, b, v in zip(box.lo, box.hi, pt))
 
 
-def test_planted_point_never_in_refuted_box(monkeypatch):
-    # the star K_{1,5}: its N = 2 grid embedding pins vertices 0 and 1 on the
-    # axes that cs pins, so the unit-scaled free directions are a point of
-    # cs's box, and the solver refutes boxes around it
-    g = graph6_decode("Esa?")
-    cs = build_constraint_system(g, 1e-4)
-    mapping = grid_embed(g, 2).mapping
-    assert all(mapping[v] == tuple(2 * c for c in axis) for v, axis in cs.pinned)
-    planted = [c / math.hypot(*mapping[v]) for v in cs.free for c in mapping[v]]
+def test_planted_point_never_in_refuted_box(monkeypatch, planted_star):
+    # the star K_{1,5} with a grid embedding flipped into its initial box:
+    # the solver refutes boxes around that point but never one holding it
+    g, planted = planted_star
     sweep = embedding.contract_explain
     counts = {"refuted": 0, "held": 0}
 
@@ -300,7 +361,7 @@ def test_every_budget_stops_inside_the_initial_box(graph, kind):
 
 @pytest.mark.parametrize(
     "graph,budget",
-    [(C4, 1), (graph6_decode("I{d@?gI@w"), 100), (graph6_decode("I{O_ogI@W"), 500)],
+    [(C4, 1), (graph6_decode("I{d@?gI@w"), 30), (graph6_decode("I{O_ogI@W"), 500)],
     ids=["C4", "I{d@?gI@w", "I{O_ogI@W"],
 )
 def test_larger_budget_replays_smaller_run(monkeypatch, graph, budget):
