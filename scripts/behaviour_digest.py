@@ -21,7 +21,9 @@ and after:
   random paths of bisections and sweeps from the initial box of every
   graph with n <= 6, C4 and the two n = 10 classes, at delta 1e-4 and 0.3,
   one line per sweep with every endpoint as ``float.hex`` (the refutation's
-  kind, detail and snapshot when the sweep refutes);
+  kind, detail and snapshot when the sweep refutes), and
+  ``contract_explain_ck31_sha256``, the same paths from the 84-variable
+  initial box of the N = 2 grid's 31-vertex critical subsystem;
 - the sha256 of the Krawczyk certificates (outer box, refined box, slices
   and iterations) behind every ProvedEmbeddable verdict with n <= 7;
 - the sha256 of ``canonical_code`` of the greedy critical subsystem of the
@@ -68,11 +70,9 @@ def _box_hex(box) -> str:
     return " ".join(f"{lo.hex()},{hi.hex()}" for lo, hi in zip(box.lo, box.hi))
 
 
-def _sweep_lines() -> list[str]:
+def _sweep_lines(graphs) -> list[str]:
     """One line per contract_explain call along seeded bisect/sweep paths."""
     rng = random.Random(20261018)
-    graphs = [C4] + [g for n in range(2, 7) for g in enumerate_graphs(n)]
-    graphs += [graph6_decode(g6) for g6, _ in N10_INPUTS]
     lines = []
     for g in graphs:
         for delta in (1e-4, 0.3):
@@ -141,9 +141,12 @@ def main() -> int:
     codes = [encode_upper_triangle(g) for g in enumerate_graphs(11)]
     verdicts = [decide_embeddability(g, budget=3_000) for n in range(1, 8) for g in enumerate_graphs(n)]
     small = [verdict_to_json(v, budget=3_000) for v in verdicts]
-    sweeps = _sweep_lines()
+    sweep_graphs = [C4] + [g for n in range(2, 7) for g in enumerate_graphs(n)]
+    sweeps = _sweep_lines(sweep_graphs + [graph6_decode(g6) for g6, _ in N10_INPUTS])
     certificates = _certificate_lines(verdicts)
     n2_subs = _n2_scan_subsystems()
+    ck31 = n2_subs[0].graph  # the identity scan's 31-vertex critical subsystem
+    ck31_sweeps = _sweep_lines([ck31])
     n2_codes = [canonical_code(sub.graph) for sub in n2_subs]
     grid_lines = _grid_lines(n2_subs)
     out = {
@@ -156,6 +159,7 @@ def main() -> int:
         "verdict_kinds_n_le_7": Counter(v.kind for v in verdicts),
         "contract_explain_sweeps": len(sweeps),
         "contract_explain_sha256": hashlib.sha256("\n".join(sweeps).encode()).hexdigest(),
+        "contract_explain_ck31_sha256": hashlib.sha256("\n".join(ck31_sweeps).encode()).hexdigest(),
         "certificates_n_le_7": len(certificates),
         "certificates_n_le_7_sha256": hashlib.sha256("\n".join(certificates).encode()).hexdigest(),
         "canonical_codes_n2_scans": hashlib.sha256("\n".join(n2_codes).encode()).hexdigest(),

@@ -22,7 +22,7 @@ import sys
 
 from .graphs import ENUM_MAX_VERTICES, Graph6Error, graph6_decode, graph6_encode
 from .orderly import SubtreeTicket, enumerate_graphs, list_tickets
-from .colouring import export_dimacs_101, solve_101, witness_to_json
+from .colouring import export_dimacs_101, solve_101
 from .grids import MAX_GRID_N, get_grid, grid_embed
 from .constraints import DEFAULT_DELTA
 from .embedding import (
@@ -186,7 +186,7 @@ def _dispatch(args, stack: contextlib.ExitStack) -> int:
             w = solve_101(g)
             rec = {"graph6": graph6_encode(g), "colourable": w is not None}
             if w is not None:
-                rec["witness"] = json.loads(witness_to_json(w))
+                rec["witness"] = {str(v): int(a) for v, a in enumerate(w)}
             out.write(json.dumps(rec) + "\n")
         return EXIT_OK
 

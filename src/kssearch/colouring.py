@@ -15,8 +15,6 @@ graph's restricted to it.
 
 from __future__ import annotations
 
-import json
-
 from .graphs import Graph, _bits, triangle_core, triangles
 
 
@@ -229,7 +227,3 @@ def export_dimacs_101(g: Graph) -> str:
     for a, b, c in tris:
         lines.append(f"-{a + 1} -{b + 1} -{c + 1} 0")
     return "\n".join(lines) + "\n"
-
-
-def witness_to_json(assignment) -> str:
-    return json.dumps({str(v): int(a) for v, a in enumerate(assignment)})

@@ -26,6 +26,7 @@ from .graphs import Graph, triangles
 from .intervals import (
     IntervalBox,
     QInterval,
+    mul,
     narrow_by_div,
     _up,
 )
@@ -169,26 +170,49 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
 
     The box's endpoints are copied into two lists, ``lo`` and ``hi``, and
     narrowed in place.  Each step performs the float operations of the
-    interval-object oracle in ``tests/test_interval_kernels.py``, in the same
-    order: a sum of products starts from 0.0 as the oracle's
-    ``ZERO + p0 + p1 + p2`` does, and intersections and hulls keep
-    ``max``/``min``'s argument order, so signed zeros come out the same.
-    Products and squares are :func:`mul` and :func:`sqr` written out in the
-    loop, as are the square roots, the intersections and the quotient by a
-    denominator that excludes zero, with its one cut; a denominator that
-    contains zero goes through :func:`narrow_by_div`.  The
-    outward rounding of sums, products, squares and roots is ``nextafter``
-    written out.  It equals the guarded ``_dn``/``_up`` except at an
-    infinity, which these values over the solver's boxes (endpoints in
-    [-1, 1]) never reach; a quotient can overflow, so its rounding keeps the
-    guard.
+    interval-object oracle in ``tests/test_interval_kernels.py``: a sum of
+    products starts from 0.0 as the oracle's ``ZERO + p0 + p1 + p2`` does,
+    and intersections and hulls keep ``max``/``min``'s argument order, so
+    signed zeros come out the same.  :func:`mul`, :func:`sqr`, the square
+    roots, the intersections and the quotient by a denominator that excludes
+    zero are written out; a denominator that contains zero goes through
+    :func:`narrow_by_div`.  The outward rounding is ``nextafter`` written
+    out, which equals the guarded ``_dn``/``_up`` except at an infinity;
+    only a quotient can reach one over boxes in [-1, 1], so it keeps the guard.
 
     Two kinds of step are skipped, each because it would return the box's
     own endpoints, signed zeros included: the narrowings of a separation
     pair whose dot product already lies in the band, and a division whose
     target and denominator both contain zero, which has the whole line as
-    quotient.  A product is recomputed only after one of its factors was
-    assigned.
+    quotient.
+
+    Each term, a pair's product u_c v_c or a norm's square x_c^2, is computed
+    once, where the oracle recomputes it after narrowing coordinate c against
+    its target T_c.  A stale term still encloses the term, so soundness never
+    rested on the recompute, and by this lemma the boxes stay bit-identical.
+    A written-out quotient, a skipped division or the norm's two-piece hull
+    moves an end of c's term without crossing the matching end of T_c: a
+    lowered upper end stays >= T_c.hi, a raised lower end <= T_c.lo.  A
+    denominator y that excludes 0 puts the term's upper end at one end of the
+    domain, and a cut sets that end to a quotient bound q, rounded outward,
+    with q*y >= T_c.hi for each y, so fl(q*y) >= T_c.hi.  The hull's pieces
+    are -[m, r] and [m, r], r*r >= T_c.hi, m = 0 or m*m <= T_c.lo; if one is
+    empty, the end kept on the other side has the larger square.  A cut by
+    :func:`narrow_by_div`'s rays is the exception: rounding can keep a sliver
+    of the domain a few ulps wide whose products all lie below T_c.lo, so
+    :func:`mul` recomputes the product after one.
+
+    So where fresh and stale terms give a later coordinate c' different
+    targets, both hold its term P.  If an upper end fell to h, then with B the
+    band and R the third term, h >= T_c.hi >= B.hi - P.lo - R.lo, so T_c'.lo
+    <= B.lo - h - R.hi <= P.lo, and the stale target is wider; a raised lower
+    end likewise.  Such an end cuts nothing: it divides to a bound outside the
+    domain, as P.lo lies strictly below each product; the zero test and
+    :func:`narrow_by_div` read only the other end of a target that excludes 0,
+    as P contains 0 when its denominator does; in the norm it puts m at most
+    at the domain's near end.  The other end is the same float on both sides,
+    so every cut is.  A square's lower end can fall from 0.0 to -5e-324 as x
+    stops straddling 0; 1 minus either is the same float.
     """
     lo = list(box.lo)
     hi = list(box.hi)
@@ -242,7 +266,6 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
                 else:
                     tl, th = nx(blo - rh, ninf), nx(bhi - rl, inf)
                 spans_zero = tl <= 0.0 <= th
-                assigned = False
                 # u_c in target / v_c, then v_c in target / u_c
                 for k, m in ((i, j), (j, i)):
                     d, e = lo[m], hi[m]
@@ -264,23 +287,12 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
                         if not a <= b:
                             fail(kind, (s, t))
                         lo[k], hi[k] = a, b
-                        assigned = True
                     elif not spans_zero:
                         cut = narrow_by_div(lo[k], hi[k], tl, th, d, e)
                         if cut is None:
                             fail(kind, (s, t))
                         lo[k], hi[k] = cut
-                        assigned = True
-                if assigned:
-                    a, b, d, e = lo[i], hi[i], lo[j], hi[j]
-                    p0, p1, p2, p3 = a * d, a * e, b * d, b * e
-                    ml = p1 if p1 < p0 else p0
-                    ml = p2 if p2 < ml else ml
-                    ml = p3 if p3 < ml else ml
-                    mh = p1 if p1 > p0 else p0
-                    mh = p2 if p2 > mh else mh
-                    mh = p3 if p3 > mh else mh
-                    pl[c], ph[c] = nx(ml, ninf), nx(mh, inf)
+                        pl[c], ph[c] = mul(lo[i], hi[i], lo[j], hi[j])
 
     # coordinate-zero equations (edges into pinned axes)
     for s, c in cs.coord_zero:
@@ -334,13 +346,6 @@ def _sweep(box: IntervalBox, cs: ConstraintSystem) -> IntervalBox:
             else:
                 fail("norm", (s,))
             lo[base + c], hi[base + c] = a, b
-            if a >= 0:
-                sl[c], sh[c] = nx(a * a, ninf), nx(b * b, inf)
-            elif b <= 0:
-                sl[c], sh[c] = nx(b * b, ninf), nx(a * a, inf)
-            else:
-                a, b = a * a, b * b
-                sl[c], sh[c] = 0.0, nx(b if b > a else a, inf)
 
     # dot products on edges between free vertices
     narrow_pairs(cs.dot_pairs, None, "edge-dot")

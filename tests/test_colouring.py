@@ -13,7 +13,6 @@ from kssearch.colouring import (
     is_k_colourable,
     solve_101,
     validate_101,
-    witness_to_json,
 )
 from kssearch.orderly import enumerate_graphs
 
@@ -199,11 +198,3 @@ def test_dimacs_agrees_with_solver():
             continue
         checked += 1
         assert cnf_satisfiable(export_dimacs_101(g)) == (solve_101(g) is not None)
-
-
-def test_witness_json():
-    import json
-
-    w = solve_101(K3)
-    data = json.loads(witness_to_json(w))
-    assert set(data) == {"0", "1", "2"} and set(data.values()) <= {0, 1}

@@ -15,6 +15,7 @@ against the earlier one, which converted the whole snapshot box.
 """
 
 import math
+import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,6 +43,7 @@ from kssearch.embedding import (
     choose_slices,
 )
 from kssearch.graphs import Graph, graph6_decode, graph6_encode
+from kssearch.grids import get_grid, minimize_uncolourable
 from kssearch.intervals import (
     IntervalBox,
     QInterval,
@@ -481,10 +483,9 @@ def sub_boxes(draw):
     return cs, box
 
 
-@settings(max_examples=600, deadline=None)
-@given(sub_boxes())
-def test_contract_explain_matches_interval_oracle(case):
-    cs, box = case
+def assert_sweep_matches_oracle(box, cs):
+    """contract_explain equals the oracle by float.hex, a refutation's kind,
+    detail and snapshot included; returns the oracle's answer."""
     got, got_ref = contract_explain(box, cs)
     want, want_ref = ref_contract_explain(box, cs)
     if want is None:
@@ -494,6 +495,29 @@ def test_contract_explain_matches_interval_oracle(case):
     else:
         assert got_ref is None
         assert _hex(got) == _hex(want)
+    return want, want_ref
+
+
+@settings(max_examples=600, deadline=None)
+@given(sub_boxes())
+def test_contract_explain_matches_interval_oracle(case):
+    assert_sweep_matches_oracle(case[1], case[0])
+
+
+def test_contract_explain_matches_interval_oracle_on_critical_31():
+    """The 84-variable system of the N = 2 grid's 31-vertex critical
+    subsystem, on seeded paths of bisections and sweeps: 60 sweeps."""
+    g = minimize_uncolourable(get_grid(2), list(range(49))).graph
+    assert g.n == 31
+    rng = random.Random(31)
+    for delta in (1e-4, 0.3):
+        cs = build_constraint_system(g, delta)
+        assert cs.num_vars == 84
+        box = cs.initial_box()
+        for _ in range(30):
+            for _ in range(rng.randrange(4)):
+                box = bisect(box)[rng.random() < 0.5]
+            box = assert_sweep_matches_oracle(box, cs)[0] or cs.initial_box()
 
 
 def test_separation_pair_inside_band_matches_interval_oracle():
@@ -616,6 +640,71 @@ def test_signed_zero_endpoints_match_interval_oracle(monkeypatch):
     assert got_ref is None
     assert _hex(got) == _hex(want)
     assert "-0x0.0p+0" in [x.hex() for x in got.lo]
+
+
+# The sweep computes each product and square once; the oracle recomputes a
+# term after narrowing its coordinate c, and a later coordinate of the same
+# constraint reads it.  On STALE_TERMS the recompute changes u_0 v_0 (by two
+# written-out quotients) and x_0^2, and later coordinates still narrow.
+STALE_TERMS = IntervalBox((0.25, 0.59, 0.74, -0.94, 0.3, 0.11), (0.48, 0.88, 0.92, -0.07, 0.89, 0.9))
+
+
+def after_norms(box, cs) -> list:
+    """The oracle's box after the coordinate zeros and the norms, where the
+    edge-dot pairs start."""
+    return to_ivs(ref_contract_explain(box, replace(cs, dot_pairs=(), sep_pairs=(), sep_coords=()))[0])
+
+
+def test_stale_square_matches_interval_oracle():
+    cs = build_constraint_system(TRIANGLE_AND_EDGE, 1e-4)
+    x = to_ivs(STALE_TERMS)[:3]
+    sq = [ref_sqr(iv) for iv in x]
+    target = ONE - sq[1] - sq[2]
+    fresh = ref_sqr(ref_abs_band(x[0], target))
+    # the upper end falls, but not below the target's
+    assert target.hi <= fresh.hi < sq[0].hi
+    assert after_norms(STALE_TERMS, cs)[1].hi < x[1].hi
+    assert_sweep_matches_oracle(STALE_TERMS, cs)
+
+
+def test_stale_product_matches_interval_oracle():
+    cs = build_constraint_system(TRIANGLE_AND_EDGE, 1e-4)
+    start = after_norms(STALE_TERMS, cs)
+    u, v = start[:3], start[3:]
+    p = [ref_mul(a, b) for a, b in zip(u, v)]
+    target = -(ZERO + p[1] + p[2])
+    u0 = ref_narrow_by_div(u[0], target, v[0])
+    v0 = ref_narrow_by_div(v[0], target, u0)
+    assert branch(target, v[0]) == branch(target, u0) == "quotient"
+    assert target.hi <= ref_mul(u0, v0).hi < p[0].hi
+    want, _ = assert_sweep_matches_oracle(STALE_TERMS, replace(cs, sep_coords=()))
+    assert want.hi[4] < v[1].hi and want.hi[5] < v[2].hi
+    assert_sweep_matches_oracle(STALE_TERMS, cs)
+
+
+def test_rays_cut_recomputes_product():
+    """The exception: narrow_by_div cuts u_0 to one float a few ulps below
+    target / v_0, and the recomputed product, unlike the first one, lies
+    below the target.  The oracle then refutes at u_1 v_1, and so does the
+    kernel, which recomputes the product after a cut by rays."""
+    cs = build_constraint_system(TRIANGLE_AND_EDGE, 1e-4)
+    box = IntervalBox(
+        tuple(map(float.fromhex, ("-0x1.fd495c853fcefp-3", "0x1.17cff8d93eb25p-1", "0x1.96f9af74d0289p-1",
+                                  "-0x1.1759a1c19137ap-1", "-0x1.966c2777c927dp-1", "0x1.5369446bd362dp-2"))),
+        tuple(map(float.fromhex, ("0x1.029ef9f749f89p-2", "0x1.1d1f2a1296115p-1", "0x1.9aa4d1ced50f7p-1",
+                                  "0x1.130db798c289ep-1", "-0x1.87f94e5b348f2p-1", "0x1.68f44bf0422d4p-2"))),
+    )
+    start = after_norms(box, cs)
+    u, v = start[:3], start[3:]
+    p = [ref_mul(a, b) for a, b in zip(u, v)]
+    target = -(ZERO + p[1] + p[2])
+    assert branch(target, v[0]) == "2-piece fallback"
+    u0 = ref_narrow_by_div(u[0], target, v[0])
+    fresh = ref_mul(u0, ref_narrow_by_div(v[0], target, u0))
+    assert u0.lo == u0.hi == u[0].hi
+    assert fresh.hi < target.lo <= p[0].hi
+    want, want_ref = assert_sweep_matches_oracle(box, cs)
+    assert want is None and (want_ref.kind, want_ref.detail) == ("edge-dot", (0, 1))
 
 
 def test_recheck_matches_whole_box_oracle(monkeypatch):

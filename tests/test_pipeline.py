@@ -936,6 +936,8 @@ def test_cli_colour_and_exports():
     r = cli("colour", input=g6 + "\n")
     data = json.loads(r.stdout)
     assert data["colourable"] and r.returncode == 0
+    witness = data["witness"]
+    assert set(witness) == {"0", "1", "2"} and set(witness.values()) <= {0, 1}
     r = cli("export-cnf", input=g6 + "\n")
     assert "p cnf 3 4" in r.stdout
     r = cli("colour", input="not-a-graph6-\x01\n")
