@@ -24,8 +24,8 @@ and after:
   kind, detail and snapshot when the sweep refutes), and
   ``contract_explain_ck31_sha256``, the same paths from the 84-variable
   initial box of the N = 2 grid's 31-vertex critical subsystem;
-- the sha256 of the Krawczyk certificates (outer box, refined box, slices
-  and iterations) behind every ProvedEmbeddable verdict with n <= 7;
+- the sha256 of the Krawczyk certificates (outer box, refined box and
+  slices) behind every ProvedEmbeddable verdict with n <= 7;
 - the sha256 of ``canonical_code`` of the greedy critical subsystem of the
   N = 2 grid for scan seeds None and 0..5 (31 to 41 vertices), one code per
   line: this pins ``canonical_label``;
@@ -103,7 +103,7 @@ def _certificate_lines(verdicts) -> list[str]:
         if cert is None or not len(cert.box):
             continue  # no edges, or nothing left free after pinning
         slices = " ".join(f"{c}:{val.hex()}" for c, val in cert.slices)
-        lines.append(f"{_box_hex(cert.box)} | {_box_hex(cert.refined)} | {slices} | {cert.iterations}")
+        lines.append(f"{_box_hex(cert.box)} | {_box_hex(cert.refined)} | {slices}")
     return lines
 
 

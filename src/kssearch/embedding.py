@@ -37,8 +37,6 @@ NEWTON_MAX_WIDTH = 0.6
 # at most this many contraction sweeps per popped box; a sweep that shrinks
 # the box's width sum by less than 2% ends them earlier
 SWEEPS_PER_BOX = 20
-# Krawczyk iterations per prove_root_in_box call
-KRAWCZYK_ITERATIONS = 10
 # Gauss-Newton steps per polish
 POLISH_ITERATIONS = 40
 
@@ -70,7 +68,6 @@ class KrawczykCertificate:
     box: IntervalBox
     refined: IntervalBox
     slices: tuple[tuple[int, float], ...]
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -300,42 +297,35 @@ def prove_root_in_box(
     cs: ConstraintSystem,
     slices: tuple[tuple[int, float], ...] | None = None,
 ) -> KrawczykCertificate | None:
-    """Krawczyk containment test on the (sliced) square equation system.
+    """One Krawczyk step on the (sliced) square equation system.
 
-    A certificate means the system has a real solution (locally unique) in
-    the certified box; None carries no claim.  ``slices=None`` chooses them
-    through the box's midpoint.  A system the slices do not square up, and
-    a midpoint Jacobian with no finite inverse, give None.
+    Returns a certificate, whose refined box is the image cut with the box,
+    when the image lies strictly inside the box: the system then has a real
+    solution (locally unique) in the box.  None carries no claim.
+    ``slices=None`` chooses them through the box's midpoint.  A system the
+    slices do not square up, and a midpoint Jacobian with no finite
+    inverse, give None.
     """
     import numpy as np
 
     eqs = _equations(cs)
     nv = cs.num_vars
     if nv == 0:
-        return KrawczykCertificate(box, box, (), 0)  # nothing left free
+        return KrawczykCertificate(box, box, ())  # nothing left free
     if slices is None:
         slices = choose_slices(cs, np.array(box.midpoint()))
     if len(eqs) + len(slices) != nv:
         return None
 
     lo, hi = box.lo, box.hi
-    for it in range(1, KRAWCZYK_ITERATIONS + 1):
-        image = _krawczyk_image(cs, eqs, lo, hi, slices)
-        if image is None:
-            return None
-        klo, khi = image
-        # the image's endpoints cut with the box's
-        cut_lo = tuple(map(max, klo, lo))
-        cut_hi = tuple(map(min, khi, hi))
-        if all(a < ka and kb < b for a, b, ka, kb in zip(lo, hi, klo, khi)):
-            refined = IntervalBox(cut_lo, cut_hi)
-            return KrawczykCertificate(IntervalBox(lo, hi), refined, tuple(slices), it)
-        if any(not a <= b for a, b in zip(cut_lo, cut_hi)):
-            return None  # disjoint from the box
-        if not any(b - a < (h - l) * 0.9 for a, b, l, h in zip(cut_lo, cut_hi, lo, hi)):
-            return None  # not contracting
-        lo, hi = cut_lo, cut_hi
-    return None
+    image = _krawczyk_image(cs, eqs, lo, hi, slices)
+    if image is None:
+        return None
+    klo, khi = image
+    if not all(a < ka and kb < b for a, b, ka, kb in zip(lo, hi, klo, khi)):
+        return None
+    refined = IntervalBox(tuple(map(max, klo, lo)), tuple(map(min, khi, hi)))
+    return KrawczykCertificate(box, refined, tuple(slices))
 
 
 def check_distinctness(cs: ConstraintSystem, box: IntervalBox) -> bool:
@@ -404,10 +394,11 @@ def decide_embeddability(
     It grows by at most one box per contraction step, so it never holds
     more than budget + 1 boxes; an Inconclusive verdict lists the
     unsplittable boxes first, then the stack in pop order.  A box narrow
-    enough for Newton gets a Gauss-Newton polish, and the Krawczyk test
-    runs only when the polished point passes the residual gate and
-    ``check_distinctness`` as a thin box: where two vertex images coincide,
-    a certificate could never pass that test on its refined box.
+    enough for Newton gets a Gauss-Newton polish, and one Krawczyk step
+    on the seed box pt +- 1e-7 around the polished point pt runs only when
+    pt passes the residual gate and ``check_distinctness`` as a thin box:
+    where two vertex images coincide, a certificate could never pass that
+    test on its refined box.
     """
     import numpy as np
 
@@ -460,11 +451,10 @@ def decide_embeddability(
             pt = tuple(polished.tolist())
             near = np.max(np.abs(_float_system(cs, eqs, polished)[0])) < 1e-9
             if near and check_distinctness(cs, IntervalBox(pt, pt)):
-                for eps in (1e-7, 1e-5, 1e-3):
-                    seed = IntervalBox(tuple(polished - eps), tuple(polished + eps))
-                    cert = prove_root_in_box(seed, cs)
-                    if cert is not None and check_distinctness(cs, cert.refined):
-                        return ProvedEmbeddable(cert, stats)
+                seed = IntervalBox(tuple(p - 1e-7 for p in pt), tuple(p + 1e-7 for p in pt))
+                cert = prove_root_in_box(seed, cs)
+                if cert is not None and check_distinctness(cs, cert.refined):
+                    return ProvedEmbeddable(cert, stats)
 
         try:
             left, right = bisect(box)

@@ -229,7 +229,7 @@ def test_k3_embeddable():
     # the certificate of the constant system, with nothing left free
     cs = build_constraint_system(K3)
     assert v.certificate == prove_root_in_box(cs.initial_box(), cs)
-    assert len(v.certificate.refined) == 0 and v.certificate.iterations == 0
+    assert len(v.certificate.refined) == 0
 
 
 def test_k13_certificate_from_seed_box():
@@ -424,6 +424,28 @@ def test_distinctness_gate_keeps_every_verdict(monkeypatch):
     ungated, ungated_tests = run()
     assert ungated == gated
     assert gated_tests < ungated_tests
+
+
+def test_one_krawczyk_test_per_newton_attempt(monkeypatch):
+    # each polished point that passes the thin-box distinctness test gets
+    # one Krawczyk test, and the search's own counts are those of G{CGOO's
+    # inconclusive run
+    calls, thin = [], []
+    prove, check = embedding.prove_root_in_box, embedding.check_distinctness
+
+    def counted_check(cs, box):
+        ok = check(cs, box)
+        if ok and box.lo == box.hi:
+            thin.append(1)
+        return ok
+
+    monkeypatch.setattr(embedding, "prove_root_in_box", lambda *a: calls.append(1) or prove(*a))
+    monkeypatch.setattr(embedding, "check_distinctness", counted_check)
+    v = decide_embeddability(graph6_decode("G{CGOO"), budget=3_000)
+    assert isinstance(v, Inconclusive)
+    assert len(calls) == len(thin) == 284
+    stats = v.stats
+    assert (stats.contraction_steps, stats.boxes_processed, stats.newton_attempts) == (3_000, 1_809, 923)
 
 
 def test_verdict_json():
